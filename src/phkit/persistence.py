@@ -1,19 +1,37 @@
 """Z/2 persistent homology by boundary-matrix column reduction.
 
-The reducer runs left to right inside each dimension and processes
-dimensions from the top down so that every pair found in dimension d clears
-the matching birth column in dimension d-1 before it is ever reduced.
-Diagrams drop zero-persistence pairs; the pairing keeps everything.
+The reduction runs in three steps:
+
+1. Apparent pairs. A pair (sigma, tau) is apparent when sigma is tau's
+   youngest facet and tau is sigma's oldest cofacet (Bauer, "Ripser",
+   J. Appl. Comput. Topol. 2021). One vectorized pass over the boundary
+   matrix finds all of them. No column left of tau contains sigma, so the
+   column loop would pair them without a single addition: tau's reduced
+   column is its boundary column.
+2. Column loop. Dimensions run from the top down and columns left to right
+   inside each dimension, skipping apparent deaths. With twist=True every
+   birth found in dimension d clears its column in dimension d-1 before
+   that column is reached (Chen and Kerber, "Persistent homology
+   computation with a twist", 2011); twist=False reduces every column.
+   The working column is a Python set, so adding a column is one C-level
+   symmetric difference and its low is max().
+3. Diagrams. Pairs are sorted by birth and read off in one vectorized step.
+
+PersistencePairing.reduced is a read-only mapping: columns the loop
+reduced are stored, and apparent deaths read their boundary column on
+demand. Diagrams drop zero-persistence pairs; the pairing keeps everything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._gf2 import EchelonBasis, column_bitmask
-from .complexes import Filtration, SimplicialComplex, _assemble
+from .complexes import (BoundaryMatrix, Filtration, SimplicialComplex,
+                        _assemble)
 from .errors import EssentialPair, NotDegreeOne
 
 
@@ -36,8 +54,9 @@ class PersistenceDiagram:
     @classmethod
     def from_pairs(cls, degree, pairs, essential_births=()) -> "PersistenceDiagram":
         finite = [(float(b), float(d)) for b, d in pairs]
-        births = [b for b, _ in finite] + [float(b) for b in essential_births]
-        deaths = [d for _, d in finite] + [np.inf] * len(tuple(essential_births))
+        essential = [float(b) for b in essential_births]
+        births = [b for b, _ in finite] + essential
+        deaths = [d for _, d in finite] + [np.inf] * len(essential)
         pd = cls(degree=int(degree),
                  births=np.asarray(births, dtype=np.float64),
                  deaths=np.asarray(deaths, dtype=np.float64))
@@ -94,90 +113,163 @@ class PersistenceDiagram:
                                   self.filtration)
 
 
+class _ReducedColumns(Mapping):
+    """Read-only map from each death cell to its reduced column.
+
+    Columns the loop reduced are held in a dict; apparent deaths are read
+    from the boundary matrix when asked for, as their reduced column is
+    their boundary column.
+    """
+
+    def __init__(self, stored: dict[int, list[int]], apparent: np.ndarray,
+                 bm: BoundaryMatrix):
+        self._stored = stored
+        self._apparent = apparent  # bool per cell: an apparent pair's death
+        self._n_apparent = int(np.count_nonzero(apparent))
+        self._bm = bm
+
+    def _is_apparent(self, j) -> bool:
+        return (isinstance(j, (int, np.integer))
+                and 0 <= j < len(self._apparent) and bool(self._apparent[j]))
+
+    def __getitem__(self, j) -> list[int]:
+        col = self._stored.get(j)
+        if col is not None:
+            return col
+        if self._is_apparent(j):
+            return self._bm.column(j).tolist()
+        raise KeyError(j)
+
+    def __contains__(self, j) -> bool:
+        return j in self._stored or self._is_apparent(j)
+
+    def __iter__(self):
+        yield from self._stored
+        yield from np.flatnonzero(self._apparent).tolist()
+
+    def __len__(self):
+        return len(self._stored) + self._n_apparent
+
+
 @dataclass
 class PersistencePairing:
     """Raw output of the reduction, including zero-persistence pairs.
 
-    reduced[j] is the reduced column of each death cell j (the cycle that
-    dies when j enters). chains[i], present when the reduction ran with
-    with_v=True, is the chain whose boundary is the reduced column, keyed by
-    column; for positive columns it is the created cycle itself.
+    pairs are (birth, death) filtration indices sorted by birth; essential
+    lists the unpaired cells in index order; pivot_of[i] is the death paired
+    with birth i, or -1. reduced is a read-only mapping with one key per
+    death cell j: its reduced column, the sorted cycle that dies when j
+    enters. For an apparent pair that is j's boundary column, read on
+    demand; the other columns are stored. chains[i], present when the
+    reduction ran with with_v=True, is the chain whose boundary is the
+    reduced column, keyed by column; for positive columns it is the created
+    cycle itself (cleared columns have none).
+
+    stats counts the work: apparent_pairs found before the column loop,
+    columns_reduced by the loop, column_additions it made and
+    cleared_columns it skipped as births of higher-dimensional pairs.
     """
 
     filtration: Filtration
     pairs: list[tuple[int, int]]
     essential: list[int]
-    reduced: dict[int, list[int]]
+    reduced: Mapping[int, list[int]]
     pivot_of: np.ndarray
     chains: dict[int, list[int]] | None = None
+    stats: dict[str, int] = field(default_factory=dict)
 
     def degree_of_pair(self, pair) -> int:
         return int(self.filtration.dims[pair[0]])
 
 
-def _xor_merge(a: list[int], b: list[int]) -> list[int]:
-    """Symmetric difference of two sorted int lists."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif y < x:
-            out.append(y)
-            j += 1
-        else:
-            i += 1
-            j += 1
-    if i < na:
-        out.extend(a[i:])
-    if j < nb:
-        out.extend(b[j:])
-    return out
+def _apparent_pairs(indptr, indices, n):
+    """(sigma, tau) arrays of the apparent pairs, ascending in tau."""
+    lengths = np.diff(indptr)
+    oldest_cofacet = np.full(n, n, dtype=np.int64)
+    np.minimum.at(oldest_cofacet, indices, np.repeat(np.arange(n), lengths))
+    cols = np.flatnonzero(lengths)
+    youngest_facet = indices[indptr[cols + 1] - 1]
+    keep = oldest_cofacet[youngest_facet] == cols
+    return youngest_facet[keep], cols[keep]
 
 
-def _reduce_columns(indptr, indices, dims, *, twist=True, with_v=False):
+def _reduce_columns(bm: BoundaryMatrix, dims, *, twist=True, with_v=False):
+    """Pair the cells; see the module docstring for the three steps.
+
+    Returns (births, deaths) sorted by birth, the essential cells, the
+    reduced columns, pivot_of, chains and the work counters.
+    """
+    indptr, indices = bm.indptr, bm.indices
     n = len(dims)
-    max_dim = int(dims.max(initial=0)) if n else 0
+    sigma, tau = _apparent_pairs(indptr, indices, n)
     pivot_of = np.full(n, -1, dtype=np.int64)
-    cleared = np.zeros(n, dtype=bool)
-    reduced: dict[int, list[int]] = {}
-    chains: dict[int, list[int]] | None = {} if with_v else None
-    pairs: list[tuple[int, int]] = []
+    pivot_of[sigma] = tau
+    pivot = pivot_of.tolist()
+    apparent = np.zeros(n, dtype=bool)
+    apparent[tau] = True
+    skip = apparent.copy()
+    if twist:
+        skip[sigma] = True
+    stored: dict[int, list[int]] = {}
+    chains: dict[int, list[int]] | None = None
+    if with_v:
+        chains = {j: [j] for j in tau.tolist()}
+    births: list[int] = []
+    deaths: list[int] = []
+    columns_reduced = additions = 0
 
-    for d in range(max_dim, 0, -1):
-        for j in np.flatnonzero(dims == d):
-            j = int(j)
-            if twist and cleared[j]:
-                continue
-            col = indices[indptr[j]:indptr[j + 1]].tolist()
-            vj = [j] if with_v else None
+    for d in range(int(dims.max(initial=0)), 0, -1):
+        # Python copies of the apparent columns added in this dimension;
+        # dropped when it ends, as no lower column can add them.
+        addends: dict[int, list[int]] = {}
+        todo = np.flatnonzero((dims == d) & ~skip).tolist()
+        columns_reduced += len(todo)
+        for j in todo:
+            col = set(indices[indptr[j]:indptr[j + 1]].tolist())
+            vj = {j} if with_v else None
             while col:
-                low = col[-1]
-                k = int(pivot_of[low])
+                low = max(col)
+                k = pivot[low]
                 if k < 0:
+                    pivot[low] = j
+                    stored[j] = sorted(col)
+                    births.append(low)
+                    deaths.append(j)
                     break
-                col = _xor_merge(col, reduced[k])
+                addend = stored.get(k)
+                if addend is None:
+                    addend = addends.get(k)
+                    if addend is None:
+                        addend = indices[indptr[k]:indptr[k + 1]].tolist()
+                        addends[k] = addend
+                col.symmetric_difference_update(addend)
                 if with_v:
-                    vj = _xor_merge(vj, chains[k])
-            if col:
-                low = col[-1]
-                pivot_of[low] = j
-                cleared[low] = True
-                reduced[j] = col
-                pairs.append((low, j))
+                    vj.symmetric_difference_update(chains[k])
+                additions += 1
             if with_v:
-                chains[j] = vj
+                chains[j] = sorted(vj)
+        if twist:
+            skip[births] = True
 
-    paired = np.zeros(n, dtype=bool)
-    for i, j in pairs:
-        paired[i] = True
-        paired[j] = True
-    essential = [int(i) for i in np.flatnonzero(~paired)]
-    pairs.sort()
-    return pairs, essential, reduced, pivot_of, chains
+    pivot_of[births] = deaths
+    birth_arr = np.concatenate([sigma, np.asarray(births, dtype=np.int64)])
+    death_arr = np.concatenate([tau, np.asarray(deaths, dtype=np.int64)])
+    order = np.argsort(birth_arr)
+    birth_arr, death_arr = birth_arr[order], death_arr[order]
+    is_birth = pivot_of >= 0
+    paired = is_birth.copy()
+    paired[death_arr] = True
+    essential = np.flatnonzero(~paired)
+    stats = {
+        "apparent_pairs": len(tau),
+        "columns_reduced": columns_reduced,
+        "column_additions": additions,
+        # with the twist every birth above dimension 0 is skipped
+        "cleared_columns":
+            int(np.count_nonzero(is_birth & (dims > 0))) if twist else 0,
+    }
+    return (birth_arr, death_arr, essential,
+            _ReducedColumns(stored, apparent, bm), pivot_of, chains, stats)
 
 
 def compute_persistence(filtration: Filtration, *, with_v: bool = False,
@@ -189,40 +281,45 @@ def compute_persistence(filtration: Filtration, *, with_v: bool = False,
     needed for essential-cycle extraction.
     """
     bm = filtration.boundary_matrix()
-    pairs, essential, reduced, pivot_of, chains = _reduce_columns(
-        bm.indptr, bm.indices, filtration.dims, twist=twist, with_v=with_v)
-    pairing = PersistencePairing(filtration=filtration, pairs=pairs,
-                                 essential=essential, reduced=reduced,
-                                 pivot_of=pivot_of, chains=chains)
-    diagrams = _diagrams_from_pairing(pairing)
+    births, deaths, essential, reduced, pivot_of, chains, stats = \
+        _reduce_columns(bm, filtration.dims, twist=twist, with_v=with_v)
+    pairing = PersistencePairing(
+        filtration=filtration,
+        pairs=list(zip(births.tolist(), deaths.tolist())),
+        essential=essential.tolist(), reduced=reduced,
+        pivot_of=pivot_of, chains=chains, stats=stats)
+    diagrams = _diagrams_from_pairing(filtration, births, deaths, essential)
     return pairing, diagrams
 
 
-def _diagrams_from_pairing(pairing: PersistencePairing) -> list[PersistenceDiagram]:
-    f = pairing.filtration
+def _diagrams_from_pairing(f: Filtration, births, deaths,
+                           essential) -> list[PersistenceDiagram]:
+    """One diagram per degree from pairs sorted by birth and the essentials.
+
+    Pairs come before essentials ahead of each diagram's stable sort, so
+    ties keep that order.
+    """
     if not len(f):
         return []
-    max_dim = f.max_dim
-    by_degree: dict[int, list[tuple[float, float, int, int]]] = {
-        d: [] for d in range(max_dim + 1)}
     vals = f.values
-    for i, j in pairing.pairs:
-        b, d = float(vals[i]), float(vals[j])
-        if b == d:
-            continue
-        by_degree[int(f.dims[i])].append((b, d, i, j))
-    for i in pairing.essential:
-        by_degree[int(f.dims[i])].append((float(vals[i]), np.inf, i, -1))
+    keep = vals[births] != vals[deaths]
+    birth_index = np.concatenate([births[keep], essential])
+    death_index = np.concatenate(
+        [deaths[keep], np.full(len(essential), -1, dtype=np.int64)])
+    birth_vals = vals[birth_index]
+    death_vals = np.concatenate(
+        [vals[deaths[keep]], np.full(len(essential), np.inf)])
+    degree_of = f.dims[birth_index]
 
     out = []
-    for deg in range(max_dim + 1):
-        entries = by_degree[deg]
+    for deg in range(f.max_dim + 1):
+        m = degree_of == deg
         pd = PersistenceDiagram(
             degree=deg,
-            births=np.array([e[0] for e in entries], dtype=np.float64),
-            deaths=np.array([e[1] for e in entries], dtype=np.float64),
-            birth_index=np.array([e[2] for e in entries], dtype=np.int64),
-            death_index=np.array([e[3] for e in entries], dtype=np.int64),
+            births=birth_vals[m],
+            deaths=death_vals[m],
+            birth_index=birth_index[m],
+            death_index=death_index[m],
             filtration=f)
         pd.sort()
         out.append(pd)
@@ -406,11 +503,10 @@ def tighten_cycle_1d(pairing: PersistencePairing,
 def _is_boundary_in_prefix(pairing: PersistencePairing, chain: list[int],
                            prefix_index: int) -> bool:
     """Whether the 1-chain is a boundary using 2-cells at or before the index."""
-    z = list(chain)
+    z = set(chain)
     while z:
-        low = z[-1]
-        k = int(pairing.pivot_of[low])
+        k = int(pairing.pivot_of[max(z)])
         if k < 0 or k > prefix_index:
             return False
-        z = _xor_merge(z, pairing.reduced[k])
+        z.symmetric_difference_update(pairing.reduced[k])
     return True

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from phkit import (
+    DistanceMatrix,
+    PersistenceDiagram,
     Simplex,
+    alpha_filtration,
     betti_numbers,
     compute_persistence,
+    cubical_filtration,
     make_complex,
     make_filtration,
     oracle_persistence,
     representative_cycle,
+    rips_filtration,
     tighten_cycle_1d,
 )
 from phkit.errors import EssentialPair, NotDegreeOne, TooLarge
@@ -137,7 +142,8 @@ def test_euler_characteristic_per_prefix():
         assert euler_cells == euler_betti
 
 
-def rand_filtration(rng, n_vertices=6, n_top=5, max_dim=3):
+def rand_filtration(rng, n_vertices=6, n_top=5, max_dim=3,
+                    bumps=(0.0, 0.0, 0.5, 1.0)):
     """Random face-closed filtration with deliberate value ties."""
     cells = {}
     for _ in range(n_top):
@@ -148,7 +154,7 @@ def rand_filtration(rng, n_vertices=6, n_top=5, max_dim=3):
     values = {}
     for s in sorted(closure.cells, key=lambda s: (s.dimension, tuple(s))):
         base = max((values[f] for f in s.facets()), default=0.0)
-        bump = float(rng.choice([0.0, 0.0, 0.5, 1.0]))
+        bump = float(rng.choice(bumps))
         values[s] = base + bump
     return make_filtration(list(values.items()))
 
@@ -282,3 +288,155 @@ def test_tighten_rejects_wrong_degree():
     cyc = representative_cycle(pairing, pairing.pairs[0])
     with pytest.raises(NotDegreeOne):
         tighten_cycle_1d(pairing, cyc)
+
+
+def test_from_pairs_accepts_iterator_essentials():
+    pd = PersistenceDiagram.from_pairs(1, [(0.1, 0.5)], (b for b in [0.2]))
+    assert pd.pairs == [(0.1, 0.5), (0.2, math.inf)]
+
+
+def textbook_reduction(f):
+    """Left-to-right reduction of every column with sorted-list XOR.
+
+    No twist, no apparent pairs: the reference the engine must reproduce.
+    """
+    bm = f.boundary_matrix()
+    owner, reduced, chains = {}, {}, {}
+    for j in range(len(f)):
+        col, chain = bm.column(j).tolist(), [j]
+        while col and col[-1] in owner:
+            k = owner[col[-1]]
+            col = sorted(set(col) ^ set(reduced[k]))
+            chain = sorted(set(chain) ^ set(chains[k]))
+        chains[j] = chain
+        if col:
+            owner[col[-1]] = j
+            reduced[j] = col
+    pairs = sorted(owner.items())
+    paired = {c for pair in pairs for c in pair}
+    essential = [i for i in range(len(f)) if i not in paired]
+    return pairs, essential, reduced, chains
+
+
+def reference_diagrams(f, pairs, essential):
+    """(births, deaths, birth_index, death_index) per degree: nonzero pairs
+    in birth order, then essentials, then a stable sort by value."""
+    out = []
+    for deg in range(f.max_dim + 1):
+        rows = [(f.values[i], f.values[j], i, j) for i, j in pairs
+                if f.dims[i] == deg and f.values[i] != f.values[j]]
+        rows += [(f.values[i], math.inf, i, -1) for i in essential
+                 if f.dims[i] == deg]
+        rows.sort(key=lambda r: (r[0], r[1]))
+        out.append([list(col) for col in zip(*rows)] or [[]] * 4)
+    return out
+
+
+def cross_check_inputs():
+    rng = np.random.default_rng(11)
+    for n, dim in [(25, 2), (18, 3)]:
+        yield alpha_filtration(rng.random((n, dim)))
+    yield cubical_filtration(rng.random((6, 7)))
+    yield cubical_filtration(rng.random((4, 4, 5)))
+    theta = rng.random(20) * 2.0 * np.pi
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    pts += rng.normal(0.0, 0.05, pts.shape)
+    yield rips_filtration(DistanceMatrix.from_points(pts), 2, 0.8)
+    yield cubical_filtration(rng.integers(0, 3, (6, 6)).astype(float))
+    for _ in range(5):
+        yield rand_filtration(rng, n_vertices=8, n_top=8,
+                              bumps=(0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("twist", [True, False])
+def test_reduction_matches_textbook_reference(twist):
+    for f in cross_check_inputs():
+        pairs, essential, reduced, chains = textbook_reduction(f)
+        pairing, dgms = compute_persistence(f, twist=twist, with_v=True)
+        assert pairing.pairs == pairs
+        assert [[d.births.tolist(), d.deaths.tolist(), d.birth_index.tolist(),
+                 d.death_index.tolist()] for d in dgms] == \
+            reference_diagrams(f, pairs, essential)
+        assert pairing.essential == essential
+        pivot_of = np.full(len(f), -1)
+        for i, j in pairs:
+            pivot_of[i] = j
+        assert (pairing.pivot_of == pivot_of).all()
+        assert dict(pairing.reduced) == reduced
+        # cleared columns are skipped, so they record no chain
+        cleared = {i for i, _ in pairs if f.dims[i] > 0} if twist else set()
+        expected = {j for j in range(len(f)) if f.dims[j] > 0} - cleared
+        assert set(pairing.chains) == expected
+        assert all(pairing.chains[j] == chains[j] for j in expected)
+        stats = pairing.stats
+        assert (stats["apparent_pairs"] + stats["columns_reduced"]
+                + stats["cleared_columns"]) == len(expected) + len(cleared)
+
+
+def brute_force_apparent_pairs(f):
+    """Pairs (sigma, tau): sigma is tau's youngest facet and tau is sigma's
+    oldest cofacet."""
+    bm = f.boundary_matrix()
+    out = []
+    for tau in range(len(f)):
+        col = bm.column(tau).tolist()
+        if col and min(j for j in range(len(f))
+                       if col[-1] in bm.column(j)) == tau:
+            out.append((col[-1], tau))
+    return out
+
+
+def test_stats_count_apparent_pairs():
+    rng = np.random.default_rng(5)
+    for f in [abstract_tetrahedron_filtration(), square_with_diagonals(),
+              rand_filtration(rng, n_vertices=8, n_top=8)]:
+        pairing, _ = compute_persistence(f)
+        assert pairing.stats["apparent_pairs"] == \
+            len(brute_force_apparent_pairs(f))
+
+
+def test_stats_when_every_pair_is_apparent():
+    f = make_filtration([
+        ((0,), 0.0), ((1,), 0.0), ((2,), 0.0),
+        ((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 3.0), ((0, 1, 2), 4.0)])
+    pairing, _ = compute_persistence(f)
+    assert pairing.stats == {"apparent_pairs": 3, "columns_reduced": 0,
+                             "column_additions": 0, "cleared_columns": 1}
+    # without clearing, the cycle-creating edge is reduced to zero
+    plain, _ = compute_persistence(f, twist=False)
+    assert plain.stats["columns_reduced"] == 1
+    assert plain.stats["column_additions"] == 2
+
+
+def test_reduced_mapping_contract():
+    f = square_with_diagonals()
+    pairing, _ = compute_persistence(f)
+    reduced = pairing.reduced
+    deaths = sorted(j for _, j in pairing.pairs)
+    assert len(reduced) == len(pairing.pairs)
+    assert sorted(reduced) == deaths
+    assert all(isinstance(reduced[j], list) for j in deaths)
+    assert all(j in reduced for j in deaths)
+    bm = f.boundary_matrix()
+    apparent = brute_force_apparent_pairs(f)
+    assert apparent
+    for _, tau in apparent:
+        assert reduced[tau] == bm.column(tau).tolist()
+    for i in [pairing.pairs[0][0], pairing.essential[0], len(f), -1, "x"]:
+        assert i not in reduced
+        with pytest.raises(KeyError):
+            reduced[i]
+
+
+def test_hexagon_cycles_keep_their_cells():
+    f = hexagon_with_chord()
+    pairing, _ = compute_persistence(f, with_v=True)
+    [birth] = [i for i in pairing.essential
+               if f.dims[i] == 1 and f.values[i] == 1.0]
+    hexagon = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
+    cyc = representative_cycle(pairing, (birth, None), allow_essential=True)
+    assert [tuple(c) for c in cyc.cells] == hexagon
+    tight = tighten_cycle_1d(pairing, cyc)
+    assert [tuple(c) for c in tight.cells] == hexagon
+    assert pairing.reduced == {6: [0, 1], 7: [1, 2], 8: [2, 3], 9: [3, 4],
+                               10: [4, 5]}
