@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
-from .complexes import Filtration, SimplicialComplex, _assemble
+from .complexes import Filtration, SimplicialComplex, _assemble, _row_keys
 from .errors import DegenerateInput, DuplicatePoints
 
 DUPLICATE_TOL = 1e-12
@@ -235,8 +235,11 @@ def _snap_ties(raw_by_dim, dims):
 
 
 def _alpha_tables(points, weights, top):
-    """Per-dimension vertex tables, filtration values, and face incidences."""
-    n, dim = points.shape
+    """Per-dimension vertex tables, filtration values, and face incidences.
+
+    faces_of[d][r] lists the rows of tables[d-1] that are the facets of
+    row r of tables[d].
+    """
     top_dim = top.shape[1] - 1
     tables = {top_dim: top}
     faces_of = {}
@@ -245,18 +248,10 @@ def _alpha_tables(points, weights, top):
         m = len(arr)
         blocks = [np.delete(arr, i, axis=1) for i in range(d + 1)]
         faces_all = np.concatenate(blocks, axis=0)
-        if n ** d < (1 << 62):
-            enc = np.zeros(len(faces_all), dtype=np.int64)
-            for c in range(d):
-                enc = enc * n + faces_all[:, c]
-            _, first, inv = np.unique(enc, return_index=True,
-                                      return_inverse=True)
-            tables[d - 1] = faces_all[first]
-            faces_of[d] = inv.reshape(d + 1, m).T
-        else:
-            uniq, inv = np.unique(faces_all, axis=0, return_inverse=True)
-            tables[d - 1] = uniq
-            faces_of[d] = inv.reshape(d + 1, m).T
+        keys, = _row_keys(faces_all)
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        tables[d - 1] = faces_all[first]
+        faces_of[d] = inv.reshape(d + 1, m).T
 
     values = {}
     centers = {}
@@ -292,19 +287,21 @@ def _alpha_tables(points, weights, top):
         assert slack.min(initial=0.0) > \
             -1e-6 * max(1.0, np.abs(floor).max(initial=0.0))
         np.maximum(values[d], floor, out=values[d])
-    return tables, values
+    return tables, values, faces_of
 
 
 def _tiny_tables(points, weights):
     n = len(points)
     tables = {0: np.arange(n, dtype=np.int64)[:, None]}
     values = {0: 0.0 - weights}
+    facets = {}
     if n == 2:
         verts = np.array([[0, 1]], dtype=np.int64)
         _, v = _orthocenters(points, weights, verts)
         tables[1] = verts
         values[1] = v
-    return tables, values
+        facets[1] = verts
+    return tables, values, facets
 
 
 def _build_alpha(cloud: PointCloud, weights) -> Filtration:
@@ -315,8 +312,8 @@ def _build_alpha(cloud: PointCloud, weights) -> Filtration:
     if n <= 2:
         if n == 0:
             raise DegenerateInput("empty point cloud")
-        tables, values = _tiny_tables(points, weights)
-        return _assemble("simplicial", tables, values, info=info)
+        tables, values, facets = _tiny_tables(points, weights)
+        return _assemble("simplicial", tables, values, facets, info=info)
 
     if np.linalg.matrix_rank(points - points.mean(axis=0)) < dim:
         raise DegenerateInput(
@@ -326,8 +323,8 @@ def _build_alpha(cloud: PointCloud, weights) -> Filtration:
         top, info = _top_simplices_unweighted(points)
     else:
         top, info = _top_simplices_weighted(points, weights)
-    tables, values = _alpha_tables(points, weights, top)
-    return _assemble("simplicial", tables, values, info=info)
+    tables, values, faces_of = _alpha_tables(points, weights, top)
+    return _assemble("simplicial", tables, values, faces_of, info=info)
 
 
 def delaunay(points) -> SimplicialComplex:

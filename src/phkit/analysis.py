@@ -9,26 +9,14 @@ Wasserstein by the Hungarian method on the diagonal-augmented cost matrix.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import BadParams, BadRange
-
-
-def _worker_count() -> int:
-    """Worker cap from PHKIT_THREADS; 0 or unset means one per CPU."""
-    raw = os.environ.get("PHKIT_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k <= 0:
-        k = os.cpu_count() or 1
-    return max(1, k)
 
 
 @dataclass
@@ -95,17 +83,6 @@ def histogram(pd, value_range, bins: int) -> DiagramHistogram:
     return DiagramHistogram(lo, hi, bins, counts, overflow, essential)
 
 
-def _image_chunk(births, deaths, weights, centers, sigma, cell_area):
-    two_s2 = 2.0 * sigma * sigma
-    norm = cell_area / (2.0 * np.pi * sigma * sigma)
-    db = centers[None, :] - births[:, None]
-    dd = centers[None, :] - deaths[:, None]
-    gb = np.exp(-(db ** 2) / two_s2)
-    gd = np.exp(-(dd ** 2) / two_s2)
-    # outer product per pair: grid[death_bin, birth_bin]
-    return norm * np.einsum("pd,pb->db", weights[:, None] * gd, gb)
-
-
 def persistence_image(pd, value_range, bins: int, sigma: float,
                       w_max: float | None = None) -> PersistenceImage:
     """Gaussian-smoothed, diagonal-weighted vectorization of a diagram.
@@ -134,23 +111,13 @@ def persistence_image(pd, value_range, bins: int, sigma: float,
     births, deaths = _finite_pairs(pd)
     width = (hi - lo) / bins
     centers = lo + (np.arange(bins) + 0.5) * width
-    grid = np.zeros((bins, bins))
-    if len(births):
-        weights = np.minimum((deaths - births) / w_max, 1.0)
-        workers = min(_worker_count(), max(1, len(births) // 256))
-        if workers > 1:
-            chunks = np.array_split(np.arange(len(births)), workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(
-                    lambda ix: _image_chunk(births[ix], deaths[ix],
-                                            weights[ix], centers, sigma,
-                                            width * width),
-                    chunks)
-            for part in parts:  # fixed chunk order keeps the sum deterministic
-                grid += part
-        else:
-            grid = _image_chunk(births, deaths, weights, centers, sigma,
-                                width * width)
+    weights = np.minimum((deaths - births) / w_max, 1.0)
+    two_s2 = 2.0 * sigma * sigma
+    norm = width * width / (2.0 * np.pi * sigma * sigma)
+    gb = np.exp(-((centers[None, :] - births[:, None]) ** 2) / two_s2)
+    gd = np.exp(-((centers[None, :] - deaths[:, None]) ** 2) / two_s2)
+    # outer product per pair: grid[death_bin, birth_bin]
+    grid = norm * np.einsum("pd,pb->db", weights[:, None] * gd, gb)
     return PersistenceImage(grid.ravel(), lo, hi, bins, sigma, w_max)
 
 
@@ -179,27 +146,6 @@ def _essential_part(a, b):
     return cost, matches
 
 
-def _kuhn_perfect(adj, n_left, n_right):
-    """Maximum bipartite matching size plus the matching itself."""
-    match_r = [-1] * n_right
-
-    def try_left(u, seen):
-        for v in adj[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_r[v] == -1 or try_left(match_r[v], seen):
-                match_r[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in range(n_left):
-        if try_left(u, [False] * n_right):
-            size += 1
-    return size, match_r
-
-
 def bottleneck_distance(a, b) -> DiagramDistanceReport:
     """Smallest achievable worst edge over diagonal-augmented matchings."""
     if a.degree != b.degree:
@@ -220,22 +166,27 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
                            np.abs(ad[:, None] - bd[None, :]))
     else:
         cross = np.zeros((m, n))
+    # matching every point to the diagonal costs `upper`, so no larger
+    # candidate can be the answer
+    upper = max(ess_cost, diag_a.max(initial=0.0), diag_b.max(initial=0.0))
     candidates = np.unique(np.concatenate(
-        [[0.0, ess_cost], diag_a, diag_b, cross.ravel()]))
+        [[0.0, ess_cost], diag_a, diag_b, cross[cross <= upper]]))
 
     def matching_at(c):
-        # left: a-points then n diagonal slots; right: b-points then m slots
-        adj = []
-        for i in range(m):
-            row = [int(j) for j in np.flatnonzero(cross[i] <= c)]
-            if diag_a[i] <= c:
-                row.extend(range(n, n + m))
-            adj.append(row)
-        cheap_b = [int(j) for j in np.flatnonzero(diag_b <= c)]
-        slot_row = cheap_b + list(range(n, n + m))
-        for _ in range(n):
-            adj.append(slot_row)
-        return _kuhn_perfect(adj, m + n, n + m)
+        # left: a-points then the b-points' diagonal projections; right:
+        # b-points then the a-points' projections. A point may take only its
+        # own projection, and projections pair where their points could:
+        # this has a perfect matching exactly when the graph with every
+        # projection pair allowed has one, with O(edges) work per step.
+        ii, jj = np.nonzero(cross <= c)
+        ka = np.flatnonzero(diag_a <= c)
+        kb = np.flatnonzero(diag_b <= c)
+        rows = np.concatenate([ii, ka, m + kb, m + jj])
+        cols = np.concatenate([jj, n + ka, kb, n + ii])
+        graph = csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                          shape=(m + n, n + m))
+        match_r = maximum_bipartite_matching(graph, perm_type="row")
+        return int((match_r >= 0).sum()), match_r
 
     lo_i, hi_i = 0, len(candidates) - 1
     # the largest candidate always works: everything matches the diagonal

@@ -2,8 +2,7 @@
 
 Exit codes: 0 on success, 2 for parse and usage problems, 3 for domain or
 computation errors. All outputs are deterministic: the same inputs and
-flags give byte-identical files and stdout. PHKIT_THREADS caps internal
-worker threads (0 or unset picks one per CPU).
+flags give byte-identical files and stdout.
 """
 
 from __future__ import annotations

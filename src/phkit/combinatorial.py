@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Filtration, _assemble
+from .complexes import Filtration, _assemble, _lookup_facets
 from .errors import BadParams
 
 
@@ -113,7 +113,8 @@ def clique_filtration(g: WeightedGraph, max_dim: int) -> Filtration:
         tables[d] = np.array(rows, dtype=np.int64)
         values[d] = np.array(vals)
         frontier = nxt
-    return _assemble("simplicial", tables, values)
+    return _assemble("simplicial", tables, values,
+                     _lookup_facets("simplicial", tables))
 
 
 def rips_filtration(d: DistanceMatrix, max_dim: int,

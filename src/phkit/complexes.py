@@ -10,6 +10,13 @@ Ordering contract: cells are sorted by ascending filtration value, ties by
 ascending dimension, remaining ties by lexicographic cell identity
 (vertex tuple for simplices, anchor+extent tuple for cubes). Every prefix
 of the resulting sequence is closed under faces.
+
+Builders hand _assemble each cell's facets as row indices into the table
+one dimension down (alpha keeps them from its face enumeration, cubical
+computes them from the grid), and _assemble only permutes them into
+filtration order. Cells that arrive without facets, from make_filtration
+and clique filtrations, get them from _lookup_facets, which finds each
+facet by identity and reports the first absent one as MissingFace.
 """
 
 from __future__ import annotations
@@ -19,10 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingFace, MonotonicityViolation
-
-# identity encoding falls back to hashing when base**width would overflow
-_ENCODE_LIMIT = 1 << 62
-
 
 class Simplex(tuple):
     """A simplex as a strictly increasing tuple of non-negative vertex ids."""
@@ -185,11 +188,12 @@ class Filtration:
     """Cells of a complex in filtration order with their values.
 
     Construct via make_filtration or one of the builders; the constructor
-    arguments are the already-sorted internal tables.
+    arguments are the already-sorted internal tables and their boundary
+    matrix.
     """
 
-    def __init__(self, kind, dims, values, tables, rows, *, grid_shape=None,
-                 info=None, boundary_matrix=None):
+    def __init__(self, kind, dims, values, tables, rows, *, boundary_matrix,
+                 grid_shape=None, info=None):
         self.kind = kind
         self.dims = dims
         self.values = values
@@ -213,20 +217,13 @@ class Filtration:
 
     def cell(self, i: int):
         d = int(self.dims[i])
-        row = self._tables[d][self._rows[i]]
-        if self.kind == "simplicial":
-            return Simplex(row)
-        k = len(self.grid_shape)
-        return Cube(tuple(int(x) for x in row[:k]), tuple(int(x) for x in row[k:]))
+        return _cell(self.kind, self._tables[d][self._rows[i]], self.grid_shape)
 
     @property
     def cells(self) -> list:
         return [self.cell(i) for i in range(len(self))]
 
     def boundary_matrix(self) -> BoundaryMatrix:
-        if self._bm is None:
-            self._bm = _build_boundary(self.kind, self.dims, self._tables,
-                                       self._rows, self.grid_shape)
         return self._bm
 
     def prefix_length(self, value: float) -> int:
@@ -238,148 +235,85 @@ class Filtration:
                 f"max_dim={self.max_dim})")
 
 
-def _encode_rows(tab: np.ndarray, base: int):
-    """Map each row to a single int64 key preserving lexicographic order.
+def _cell(kind, row, grid_shape):
+    """The Simplex or Cube an identity row stands for."""
+    if kind == "simplicial":
+        return Simplex(row)
+    k = len(grid_shape)
+    return Cube(row[:k], row[k:])
 
-    Returns None when the key range would overflow, in which case callers
-    fall back to hashing tuples.
+
+def _row_keys(*tables):
+    """One int64 key per row of each table, in the order of the rows.
+
+    Rows compare lexicographically and all tables share one key space, so
+    equal rows get equal keys across tables. Columns pack in base max+1
+    when that fits in 62 bits; otherwise the keys are ranks among the
+    distinct rows.
     """
-    width = tab.shape[1]
-    if width == 0 or base <= 0:
-        return np.zeros(len(tab), dtype=np.int64)
-    if base ** width >= _ENCODE_LIMIT:
-        return None
-    enc = np.zeros(len(tab), dtype=np.int64)
-    for c in range(width):
-        enc = enc * base + tab[:, c].astype(np.int64)
-    return enc
-
-
-def _lookup_rows(needles: np.ndarray, haystack: np.ndarray, base: int):
-    """Row index in haystack for each row of needles, -1 where absent."""
-    enc_h = _encode_rows(haystack, base)
-    if enc_h is not None:
-        enc_n = _encode_rows(needles, base)
-        order = np.argsort(enc_h, kind="stable")
-        sorted_h = enc_h[order]
-        pos = np.searchsorted(sorted_h, enc_n)
-        pos_clip = np.minimum(pos, len(sorted_h) - 1) if len(sorted_h) else pos
-        found = np.zeros(len(needles), dtype=bool)
-        if len(sorted_h):
-            found = sorted_h[pos_clip] == enc_n
-        out = np.full(len(needles), -1, dtype=np.int64)
-        out[found] = order[pos_clip[found]]
-        return out
-    table = {tuple(r): i for i, r in enumerate(haystack.tolist())}
-    out = np.array([table.get(tuple(r), -1) for r in needles.tolist()],
-                   dtype=np.int64)
-    return out
-
-
-def _build_boundary(kind, dims, tables, rows, grid_shape) -> BoundaryMatrix:
-    n = len(dims)
-    if kind == "simplicial":
-        counts = np.where(dims >= 1, dims.astype(np.int64) + 1, 0)
+    rows = np.concatenate(tables)
+    base = int(rows.max(initial=0)) + 1
+    if base ** rows.shape[1] < 1 << 62:
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for col in rows.T:
+            keys = keys * base + col
     else:
-        counts = 2 * dims.astype(np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        keys = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    return np.split(keys, np.cumsum([len(t) for t in tables[:-1]]))
 
-    max_dim = int(dims.max(initial=0)) if n else -1
-    positions = {d: np.flatnonzero(dims == d) for d in range(max_dim + 1)}
-    if kind == "simplicial":
-        base = 0
-        for d, t in tables.items():
-            if len(t):
-                base = max(base, int(t.max()) + 1)
-    else:
-        base = 0
 
-    for d in range(1, max_dim + 1):
-        pos_d = positions[d]
-        if not len(pos_d):
-            continue
+def _lookup_facets(kind, tables, grid_shape=None):
+    """Facet rows of every cell, found by identity in the table below it.
+
+    Serves cells that arrive without their facets (make_filtration and
+    clique filtrations). Returns {d: (m_d, f_d) rows of tables[d-1]} and
+    raises MissingFace for the first cell with an absent facet.
+    """
+    facets = {}
+    for d in sorted(tables):
         tab = tables[d]
-        target = tables.get(d - 1)
-        pos_t = positions.get(d - 1, np.empty(0, dtype=np.int64))
-        if target is None or not len(target):
-            i = int(pos_d[0])
-            _raise_missing(kind, tab[0], d, grid_shape, i, tables)
+        if d == 0 or not len(tab):
+            continue
         if kind == "simplicial":
-            facet_blocks = [np.delete(tab, i, axis=1) for i in range(d + 1)]
+            ids = np.stack([np.delete(tab, i, axis=1) for i in range(d + 1)],
+                           axis=1).reshape(-1, d)
         else:
             # collapse each extended axis to its two ends; slots stay grouped
-            # per cell so the lookup reshapes to (cells, 2d)
+            # per cell, lo before hi
             k = len(grid_shape)
-            ext = tab[:, k:]
-            rows_f, axes_f = np.nonzero(ext)
+            rows_f, axes_f = np.nonzero(tab[:, k:])
             ordinal = np.arange(len(rows_f)) - rows_f * d
-            flat = np.repeat(tab, 2 * d, axis=0)
+            ids = np.repeat(tab, 2 * d, axis=0)
             slot_lo = rows_f * 2 * d + 2 * ordinal
-            slot_hi = slot_lo + 1
-            flat[slot_lo, k + axes_f] = 0
-            flat[slot_hi, k + axes_f] = 0
-            flat[slot_hi, axes_f] += 1
-            cube_facets = flat
-
-        if kind == "simplicial":
-            m = len(tab)
-            all_facets = np.concatenate(facet_blocks, axis=0)
-            found = _lookup_rows(all_facets, target, base)
-            if (found < 0).any():
-                bad = int(np.flatnonzero(found < 0)[0])
-                cell_row = bad % m
-                _raise_missing(kind, tab[cell_row], d, grid_shape,
-                               int(pos_d[cell_row]), tables)
-            fpos = pos_t[found].reshape(d + 1, m).T
-        else:
-            found = _lookup_rows(cube_facets, target, _cube_base(grid_shape))
-            if (found < 0).any():
-                bad = int(np.flatnonzero(found < 0)[0])
-                cell_row = bad // (2 * d)
-                _raise_missing(kind, tab[cell_row], d, grid_shape,
-                               int(pos_d[cell_row]), tables)
-            fpos = pos_t[found].reshape(len(tab), 2 * d)
-        fpos = np.sort(fpos, axis=1)
-        slots = indptr[pos_d][:, None] + np.arange(fpos.shape[1])[None, :]
-        indices[slots.ravel()] = fpos.ravel()
-
-    return BoundaryMatrix(indptr=indptr, indices=indices)
+            ids[slot_lo, k + axes_f] = 0
+            ids[slot_lo + 1, k + axes_f] = 0
+            ids[slot_lo + 1, axes_f] += 1
+        target = tables.get(d - 1, np.empty((0, ids.shape[1]), dtype=np.int64))
+        needles, hay = _row_keys(ids, target)
+        order = np.argsort(hay, kind="stable")
+        pos = np.searchsorted(hay, needles, sorter=order)
+        found = pos < len(hay)
+        found[found] = hay[order[pos[found]]] == needles[found]
+        per_cell = len(ids) // len(tab)
+        if not found.all():
+            bad = int(np.argmin(found))
+            raise MissingFace(_cell(kind, tab[bad // per_cell], grid_shape),
+                              _cell(kind, ids[bad], grid_shape))
+        facets[d] = order[pos].reshape(-1, per_cell)
+    return facets
 
 
-def _cube_base(grid_shape) -> int:
-    # identity columns are anchors (bounded by shape) then 0/1 extents
-    return max(int(s) + 2 for s in grid_shape)
-
-
-def _raise_missing(kind, row, d, grid_shape, position, tables):
-    if kind == "simplicial":
-        cell = Simplex(row)
-        missing = None
-        have = {tuple(r) for r in tables.get(d - 1, np.empty((0, d))).tolist()}
-        for f in cell.facets():
-            if tuple(f) not in have:
-                missing = f
-                break
-        raise MissingFace(cell, missing)
-    k = len(grid_shape)
-    cell = Cube(tuple(int(x) for x in row[:k]), tuple(int(x) for x in row[k:]))
-    have = {tuple(r) for r in tables.get(d - 1, np.empty((0, 2 * k))).tolist()}
-    for f in cell.facets():
-        if f.identity() not in have:
-            raise MissingFace(cell, f)
-    raise MissingFace(cell, None)
-
-
-def _assemble(kind, tables_by_dim, values_by_dim, *, grid_shape=None,
+def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
               info=None, check=True) -> Filtration:
     """Sort cells into filtration order, build the boundary matrix, validate.
 
     tables_by_dim[d] is an integer identity table (one row per cell of
     dimension d); values_by_dim[d] the matching filtration values.
+    facets[d], for every d >= 1, is an (m_d, f_d) integer array: the rows
+    of tables_by_dim[d-1] that are the facets of each row of
+    tables_by_dim[d], both in the caller's row order.
     """
-    dims_parts, vals_parts, rank_parts, src = [], [], [], []
+    dims_parts, vals_parts, rank_parts = [], [], []
     clean_tables = {}
     for d in sorted(tables_by_dim):
         tab = np.asarray(tables_by_dim[d])
@@ -400,38 +334,53 @@ def _assemble(kind, tables_by_dim, values_by_dim, *, grid_shape=None,
         dims_parts.append(np.full(len(tab), d, dtype=np.int16))
         vals_parts.append(vals)
         rank_parts.append(rank)
-        src.append((d, np.arange(len(tab))))
 
     if not dims_parts:
         empty = BoundaryMatrix(np.zeros(1, dtype=np.int64),
                                np.empty(0, dtype=np.int64))
         return Filtration(kind, np.empty(0, dtype=np.int16),
                           np.empty(0, dtype=np.float64), {},
-                          np.empty(0, dtype=np.int64), grid_shape=grid_shape,
-                          info=info, boundary_matrix=empty)
+                          np.empty(0, dtype=np.int64), boundary_matrix=empty,
+                          grid_shape=grid_shape, info=info)
 
     dims_all = np.concatenate(dims_parts)
     vals_all = np.concatenate(vals_parts)
     rank_all = np.concatenate(rank_parts)
-    src_dim = np.concatenate([np.full(len(r), d, dtype=np.int16) for d, r in src])
-    src_row = np.concatenate([r for _, r in src])
     if not np.isfinite(vals_all).all():
         raise ValueError("filtration values must be finite")
 
     g = np.lexsort((rank_all, dims_all, vals_all))
+    n = len(g)
+    position_all = np.empty(n, dtype=np.int64)
+    position_all[g] = np.arange(n)
     dims_sorted = dims_all[g]
     vals_sorted = vals_all[g]
-    final_tables = {}
-    rows = np.empty(len(g), dtype=np.int64)
-    for d in clean_tables:
+    final_tables, position = {}, {}
+    rows = np.empty(n, dtype=np.int64)
+    offset = 0
+    for d, tab in clean_tables.items():
         sel = dims_sorted == d
-        order_rows = src_row[g[sel]]
-        final_tables[d] = clean_tables[d][order_rows]
-        rows[sel] = np.arange(int(sel.sum()))
+        final_tables[d] = tab[g[sel] - offset]
+        rows[sel] = np.arange(len(tab))
+        position[d] = position_all[offset:offset + len(tab)]
+        offset += len(tab)
+
+    # column j of cell (d, r) holds the sorted positions of facets[d][r]
+    lengths = np.zeros(n + 1, dtype=np.int64)
+    for d in position:
+        if d:
+            lengths[position[d] + 1] = facets[d].shape[1]
+    indptr = np.cumsum(lengths)
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    for d in position:
+        if d:
+            cols = np.sort(position[d - 1][facets[d]], axis=1)
+            indices[indptr[position[d]][:, None]
+                    + np.arange(cols.shape[1])] = cols
+    bm = BoundaryMatrix(indptr=indptr, indices=indices)
 
     filt = Filtration(kind, dims_sorted, vals_sorted, final_tables, rows,
-                      grid_shape=grid_shape, info=info)
-    bm = filt.boundary_matrix()
+                      boundary_matrix=bm, grid_shape=grid_shape, info=info)
     if check:
         _check_monotone(filt, bm)
     return filt
@@ -467,7 +416,7 @@ def make_filtration(weighted_cells, kind=None) -> Filtration:
     """
     items = list(weighted_cells)
     if not items:
-        return _assemble("simplicial", {}, {})
+        return _assemble("simplicial", {}, {}, {})
     first = items[0][0]
     if kind is None:
         kind = "cubical" if isinstance(first, Cube) else "simplicial"
@@ -480,7 +429,7 @@ def make_filtration(weighted_cells, kind=None) -> Filtration:
             tables.setdefault(s.dimension, []).append(tuple(s))
             values.setdefault(s.dimension, []).append(float(v))
         tabs = {d: np.array(rows_, dtype=np.int64) for d, rows_ in tables.items()}
-        return _assemble(kind, tabs, values)
+        return _assemble(kind, tabs, values, _lookup_facets(kind, tabs))
 
     k = len(first.anchor)
     shape = [0] * k
@@ -494,4 +443,6 @@ def make_filtration(weighted_cells, kind=None) -> Filtration:
         tables.setdefault(cell.dimension, []).append(cell.identity())
         values.setdefault(cell.dimension, []).append(float(v))
     tabs = {d: np.array(rows_, dtype=np.int64) for d, rows_ in tables.items()}
-    return _assemble(kind, tabs, values, grid_shape=tuple(shape))
+    shape = tuple(shape)
+    return _assemble(kind, tabs, values, _lookup_facets(kind, tabs, shape),
+                     grid_shape=shape)

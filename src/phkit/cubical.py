@@ -9,6 +9,7 @@ inside the object, positive outside, growing the object from its core.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -62,21 +63,43 @@ def cubical_filtration(bitmap) -> Filtration:
     vals = bitmap.values.astype(np.float64)
     k = vals.ndim
     shape = vals.shape
+    extents = list(product((1, 0), repeat=k))
+    # cubes of one extent form a block of anchors; a dimension's rows are
+    # its blocks in this order
+    block_shape = {e: tuple(s + 1 - x for s, x in zip(shape, e))
+                   for e in extents}
+    offset, rows_in_dim = {}, [0] * (k + 1)
+    for e in extents:
+        offset[e] = rows_in_dim[sum(e)]
+        rows_in_dim[sum(e)] += math.prod(block_shape[e])
     tables: dict[int, list] = {}
     values: dict[int, list] = {}
-    for extent in product((1, 0), repeat=k):
+    facets: dict[int, list] = {}
+    for extent in extents:
         arr = vals
         for axis in range(k):
             if extent[axis] == 0:
                 arr = _min_pool(arr, axis)
         d = sum(extent)
-        anchors = np.indices(arr.shape).reshape(k, -1).T
+        grid = np.indices(arr.shape)
+        anchors = grid.reshape(k, -1).T
         ext = np.tile(np.array(extent, dtype=np.int64), (len(anchors), 1))
         tables.setdefault(d, []).append(np.hstack([anchors, ext]))
         values.setdefault(d, []).append(arr.ravel())
+        # the two facets along an extended axis: same anchor, and one step
+        # up that axis, in the block with the axis collapsed
+        ends = []
+        for axis in np.flatnonzero(extent):
+            face = extent[:axis] + (0,) + extent[axis + 1:]
+            fshape = block_shape[face]
+            lo = offset[face] + np.ravel_multi_index(grid, fshape).ravel()
+            ends += [lo, lo + math.prod(fshape[axis + 1:])]
+        if d:
+            facets.setdefault(d, []).append(np.stack(ends, axis=1))
     merged_t = {d: np.concatenate(v) for d, v in tables.items()}
     merged_v = {d: np.concatenate(v) for d, v in values.items()}
-    return _assemble("cubical", merged_t, merged_v, grid_shape=shape)
+    merged_f = {d: np.concatenate(v) for d, v in facets.items()}
+    return _assemble("cubical", merged_t, merged_v, merged_f, grid_shape=shape)
 
 
 def distance_transform(bitmap, positive_inside: bool = False) -> Bitmap:

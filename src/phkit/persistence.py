@@ -31,7 +31,7 @@ import numpy as np
 
 from ._gf2 import EchelonBasis, column_bitmask
 from .complexes import (BoundaryMatrix, Filtration, SimplicialComplex,
-                        _assemble)
+                        make_filtration)
 from .errors import EssentialPair, NotDegreeOne
 
 
@@ -333,12 +333,7 @@ def betti_numbers(obj, prefix: int | None = None) -> list[int]:
     filtration to its first `prefix` cells (which are always face-closed).
     """
     if isinstance(obj, SimplicialComplex):
-        cells = sorted(obj.cells, key=lambda s: (s.dimension, tuple(s)))
-        filt = _assemble(
-            "simplicial",
-            _group_tables(cells),
-            {d: np.zeros(cnt) for d, cnt in _group_counts(cells).items()})
-        return betti_numbers(filt)
+        return betti_numbers(make_filtration((c, 0.0) for c in obj.cells))
 
     filtration: Filtration = obj
     n = len(filtration) if prefix is None else int(prefix)
@@ -363,20 +358,6 @@ def betti_numbers(obj, prefix: int | None = None) -> list[int]:
         nullity = counts[d] - ranks[d]
         out.append(int(nullity - ranks[d + 1]))
     return out
-
-
-def _group_tables(cells):
-    tabs: dict[int, list] = {}
-    for c in cells:
-        tabs.setdefault(c.dimension, []).append(tuple(c))
-    return {d: np.array(rows, dtype=np.int64) for d, rows in tabs.items()}
-
-
-def _group_counts(cells):
-    counts: dict[int, int] = {}
-    for c in cells:
-        counts[c.dimension] = counts.get(c.dimension, 0) + 1
-    return counts
 
 
 @dataclass

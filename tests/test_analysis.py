@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,24 @@ def test_image_translation_equivariance():
     assert np.allclose(img.vector, img2.vector, atol=1e-12)
 
 
+@pytest.mark.parametrize("threads,cpus", [
+    (None, 1), (None, 8), ("1", 8), ("2", 8), ("3", 8), ("8", 2)])
+def test_image_independent_of_threads_and_cpus(monkeypatch, threads, cpus):
+    rng = np.random.default_rng(21)
+    births = rng.random(3000)
+    pd = pd_of(list(zip(births, births + rng.random(3000))))
+    args = ((0.0, 2.0), 20, 0.05)
+    monkeypatch.setenv("PHKIT_THREADS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    reference = persistence_image(pd, *args).vector
+    if threads is None:
+        monkeypatch.delenv("PHKIT_THREADS")
+    else:
+        monkeypatch.setenv("PHKIT_THREADS", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert persistence_image(pd, *args).vector.tobytes() == reference.tobytes()
+
+
 def test_image_bad_params():
     with pytest.raises(BadParams):
         persistence_image(pd_of([]), (0, 1), 8, sigma=0.0)
@@ -215,32 +235,49 @@ def test_perturbation_bound():
     assert bottleneck_distance(a, b).value <= eps + 1e-12
 
 
+def check_matching_report(a, b, rep):
+    """The report's matching costs at most its value and leaves only
+    points whose diagonal cost is within it unmatched."""
+    costs = [0.0]
+    seen_a, seen_b = set(), set()
+    for i, j in rep.matching:
+        if i is not None and j is not None:
+            if np.isinf(a.deaths[i]):
+                costs.append(abs(a.births[i] - b.births[j]))
+            else:
+                costs.append(max(abs(a.births[i] - b.births[j]),
+                                 abs(a.deaths[i] - b.deaths[j])))
+        elif i is not None:
+            costs.append((a.deaths[i] - a.births[i]) / 2)
+        else:
+            costs.append((b.deaths[j] - b.births[j]) / 2)
+        seen_a.add(i)
+        seen_b.add(j)
+    assert max(costs) <= rep.value + 1e-12
+    for i in range(len(a)):
+        assert i in seen_a or (a.deaths[i] - a.births[i]) / 2 <= rep.value + 1e-12
+    for j in range(len(b)):
+        assert j in seen_b or (b.deaths[j] - b.births[j]) / 2 <= rep.value + 1e-12
+
+
 def test_matching_report_consistent():
     rng = np.random.default_rng(55)
     for _ in range(10):
         a = random_diagram(rng)
         b = random_diagram(rng)
-        rep = bottleneck_distance(a, b)
-        costs = [0.0]
-        seen_a, seen_b = set(), set()
-        for i, j in rep.matching:
-            if i is not None and j is not None:
-                if np.isinf(a.deaths[i]):
-                    costs.append(abs(a.births[i] - b.births[j]))
-                else:
-                    costs.append(max(abs(a.births[i] - b.births[j]),
-                                     abs(a.deaths[i] - b.deaths[j])))
-            elif i is not None:
-                costs.append((a.deaths[i] - a.births[i]) / 2)
-            else:
-                costs.append((b.deaths[j] - b.births[j]) / 2)
-            seen_a.add(i)
-            seen_b.add(j)
-        assert max(costs) <= rep.value + 1e-12
-        for i in range(len(a)):
-            assert i in seen_a or (a.deaths[i] - a.births[i]) / 2 <= rep.value + 1e-12
-        for j in range(len(b)):
-            assert j in seen_b or (b.deaths[j] - b.births[j]) / 2 <= rep.value + 1e-12
+        check_matching_report(a, b, bottleneck_distance(a, b))
+
+
+def test_bottleneck_thousand_pairs():
+    # recursive augmenting paths overflowed the stack at this size
+    a, b = (compute_persistence(alpha_filtration(
+        np.random.default_rng(seed).random((1100, 2))))[1][1]
+        for seed in (3, 4))
+    assert min(len(a.finite_pairs), len(b.finite_pairs)) >= 1000
+    rep = bottleneck_distance(a, b)
+    assert np.isfinite(rep.value)
+    assert bottleneck_distance(b, a).value == rep.value
+    check_matching_report(a, b, rep)
 
 
 def test_degree_mismatch_rejected():

@@ -5,12 +5,19 @@ from hypothesis import strategies as st
 
 from phkit import (
     Cube,
+    DistanceMatrix,
     Simplex,
     SimplicialComplex,
+    alpha_filtration,
     boundary,
+    compute_persistence,
+    cubical_filtration,
     make_complex,
     make_filtration,
+    rips_filtration,
+    weighted_alpha_filtration,
 )
+from phkit.complexes import _assemble, _lookup_facets, _row_keys
 from phkit.errors import MissingFace, MonotonicityViolation
 
 
@@ -151,3 +158,80 @@ def test_prefix_length():
     assert f.prefix_length(0.5) == 1
     assert f.prefix_length(1.0) == 2
     assert f.prefix_length(5.0) == 3
+
+
+def test_cubical_filtration_missing_face():
+    square = Cube((0, 0), (1, 1))
+    gone = Cube((1, 0), (0, 1))
+    cells = [(Cube((x, y), (0, 0)), 0.0) for x in (0, 1) for y in (0, 1)]
+    cells += [(e, 0.0) for e in boundary(square) if e != gone]
+    cells.append((square, 1.0))
+    with pytest.raises(MissingFace) as exc:
+        make_filtration(cells)
+    assert exc.value.cell == square
+    assert exc.value.face == gone
+
+
+@pytest.mark.parametrize("offset", [0, 2 ** 31])
+def test_row_keys_follow_row_order(offset):
+    # from 2**31 on, three packed columns overflow and keys become ranks
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, 4, (50, 3)) + offset
+    b = rng.integers(0, 4, (30, 3)) + offset
+    rows = np.concatenate([a, b])
+    keys = np.concatenate(_row_keys(a, b))
+    order = np.lexsort(rows.T[::-1])
+    assert (np.diff(keys[order]) >= 0).all()
+    same_row = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+    assert np.array_equal(same_row, keys[:, None] == keys[None, :])
+
+
+def test_make_filtration_large_vertex_ids():
+    rng = np.random.default_rng(9)
+    f = rips_filtration(DistanceMatrix.from_points(rng.random((12, 2))), 2, 0.6)
+    cells = [(f.cell(i), f.value(i)) for i in rng.permutation(len(f))]
+    small = make_filtration(cells)
+    # an increasing relabelling keeps the filtration order
+    big = make_filtration((Simplex([2 ** 31 + 7 * v for v in c]), x)
+                          for c, x in cells)
+    assert [Simplex([(v - 2 ** 31) // 7 for v in c]) for c in big.cells] \
+        == small.cells
+    p_small, _ = compute_persistence(small)
+    p_big, _ = compute_persistence(big)
+    assert p_big.pairs == p_small.pairs
+    assert p_big.essential == p_small.essential
+
+
+def builder_samples():
+    rng = np.random.default_rng(5)
+    for shape in [(23,), (7, 9), (5, 4, 6), (3, 4, 3, 3)]:
+        yield cubical_filtration(rng.random(shape))
+        yield cubical_filtration(rng.integers(0, 3, shape).astype(float))
+    for dim in (2, 3):
+        yield alpha_filtration(rng.random((40, dim)))
+        yield weighted_alpha_filtration(rng.random((30, dim)),
+                                        rng.random(30) * 0.01)
+    weights = np.zeros(40)
+    weights[0] = 0.3
+    hiding = weighted_alpha_filtration(rng.random((40, 2)), weights)
+    assert hiding.info["hidden_points"]
+    yield hiding
+    yield alpha_filtration(rng.random((2, 2)))
+    yield rips_filtration(DistanceMatrix.from_points(rng.random((25, 2))), 3,
+                          0.5)
+
+
+def test_builder_facets_match_lookup():
+    # builders hand over the facets they enumerate; finding every facet
+    # by identity in the same tables must give the same boundary matrix
+    for f in builder_samples():
+        values = {d: f.values[f.dims == d] for d in f._tables}
+        g = _assemble(f.kind, f._tables, values,
+                      _lookup_facets(f.kind, f._tables, f.grid_shape),
+                      grid_shape=f.grid_shape)
+        assert np.array_equal(g.dims, f.dims)
+        assert np.array_equal(g.values, f.values)
+        assert np.array_equal(g.boundary_matrix().indptr,
+                              f.boundary_matrix().indptr)
+        assert np.array_equal(g.boundary_matrix().indices,
+                              f.boundary_matrix().indices)
