@@ -121,29 +121,39 @@ def persistence_image(pd, value_range, bins: int, sigma: float,
     return PersistenceImage(grid.ravel(), lo, hi, bins, sigma, w_max)
 
 
-def _sup_cost(ab, ad, bb, bd):
-    return max(abs(ab - bb), abs(ad - bd))
-
-
-def _diag_cost(b, d):
-    return (d - b) / 2.0
+def _cross_cost(ab, ad, bb, bd):
+    """L-infinity distance from every finite point of a to every one of b."""
+    return np.maximum(np.abs(ab[:, None] - bb[None, :]),
+                      np.abs(ad[:, None] - bd[None, :]))
 
 
 def _essential_part(a, b):
-    ea = sorted(a.essential_births)
-    eb = sorted(b.essential_births)
-    if len(ea) != len(eb):
+    """Worst cost and index pairs of matching essentials by sorted birth."""
+    idx_a, idx_b = (np.flatnonzero(~pd.finite_mask) for pd in (a, b))
+    if len(idx_a) != len(idx_b):
         return None, []
-    cost = 0.0
-    matches = []
-    order_a = np.argsort(a.births[~a.finite_mask], kind="stable")
-    order_b = np.argsort(b.births[~b.finite_mask], kind="stable")
-    idx_a = np.flatnonzero(~a.finite_mask)[order_a]
-    idx_b = np.flatnonzero(~b.finite_mask)[order_b]
-    for i, j, x, y in zip(idx_a, idx_b, ea, eb):
-        cost = max(cost, abs(x - y))
-        matches.append((int(i), int(j)))
-    return cost, matches
+    idx_a = idx_a[np.argsort(a.births[idx_a], kind="stable")]
+    idx_b = idx_b[np.argsort(b.births[idx_b], kind="stable")]
+    cost = float(np.abs(a.births[idx_a] - b.births[idx_b]).max(initial=0.0))
+    return cost, list(zip(idx_a.tolist(), idx_b.tolist()))
+
+
+def _assignment_matching(ia, ib, rows, cols) -> list:
+    """Matching list of an assignment on the diagonal-augmented problem.
+
+    Rows are a's points then b's projections, columns b's points then a's
+    projections; a point assigned to a projection matches the diagonal.
+    """
+    m, n = len(ia), len(ib)
+    out = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if r < m and c < n:
+            out.append((int(ia[r]), int(ib[c])))
+        elif r < m:
+            out.append((int(ia[r]), None))
+        elif c < n:
+            out.append((None, int(ib[c])))
+    return out
 
 
 def bottleneck_distance(a, b) -> DiagramDistanceReport:
@@ -161,11 +171,7 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
 
     diag_a = (ad - ab) / 2.0
     diag_b = (bd - bb) / 2.0
-    if m and n:
-        cross = np.maximum(np.abs(ab[:, None] - bb[None, :]),
-                           np.abs(ad[:, None] - bd[None, :]))
-    else:
-        cross = np.zeros((m, n))
+    cross = _cross_cost(ab, ad, bb, bd)
     # matching every point to the diagonal costs `upper`, so no larger
     # candidate can be the answer
     upper = max(ess_cost, diag_a.max(initial=0.0), diag_b.max(initial=0.0))
@@ -191,7 +197,6 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
     lo_i, hi_i = 0, len(candidates) - 1
     # the largest candidate always works: everything matches the diagonal
     best = candidates[hi_i]
-    best_match = None
     while lo_i <= hi_i:
         mid = (lo_i + hi_i) // 2
         c = candidates[mid]
@@ -205,19 +210,9 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
             hi_i = mid - 1
         else:
             lo_i = mid + 1
-    if best_match is None:
-        _, best_match = matching_at(best)
-
-    matching = list(ess_matches)
-    for v, u in enumerate(best_match):
-        if u == -1:
-            continue
-        if u < m and v < n:
-            matching.append((int(ia[u]), int(ib[v])))
-        elif u < m:
-            matching.append((int(ia[u]), None))
-        elif v < n:
-            matching.append((None, int(ib[v])))
+    # the search always probes its answer, so best_match is perfect there
+    matching = ess_matches + _assignment_matching(
+        ia, ib, best_match, np.arange(len(best_match)))
     return DiagramDistanceReport(float(best), matching)
 
 
@@ -243,21 +238,10 @@ def wasserstein_distance(a, b, q: float = 1.0) -> DiagramDistanceReport:
     matching = list(ess_matches)
     if size:
         cost = np.zeros((size, size))
-        if m and n:
-            cross = np.maximum(np.abs(ab[:, None] - bb[None, :]),
-                               np.abs(ad[:, None] - bd[None, :]))
-            cost[:m, :n] = cross ** q
-        if m:
-            cost[:m, n:] = (((ad - ab) / 2.0) ** q)[:, None]
-        if n:
-            cost[m:, :n] = (((bd - bb) / 2.0) ** q)[None, :]
+        cost[:m, :n] = _cross_cost(ab, ad, bb, bd) ** q
+        cost[:m, n:] = (((ad - ab) / 2.0) ** q)[:, None]
+        cost[m:, :n] = (((bd - bb) / 2.0) ** q)[None, :]
         rows, cols = linear_sum_assignment(cost)
         total += float(cost[rows, cols].sum())
-        for r, c in zip(rows, cols):
-            if r < m and c < n:
-                matching.append((int(ia[r]), int(ib[c])))
-            elif r < m:
-                matching.append((int(ia[r]), None))
-            elif c < n:
-                matching.append((None, int(ib[c])))
+        matching += _assignment_matching(ia, ib, rows, cols)
     return DiagramDistanceReport(total ** (1.0 / q), matching)

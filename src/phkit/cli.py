@@ -18,7 +18,7 @@ from .alpha import alpha_filtration, weighted_alpha_filtration
 from .analysis import bottleneck_distance, histogram, persistence_image, \
     wasserstein_distance
 from .combinatorial import rips_filtration
-from .complexes import Cube, Simplex
+from .complexes import Simplex
 from .cubical import cubical_filtration, distance_transform
 from .errors import (BadDegree, MissingProvenance, NoPairs, ParseError,
                      PHKitError, TooLarge)
@@ -223,13 +223,6 @@ def distance(file_a, file_b, degree, metric, q):
     click.echo(f"{report.value:.17g}")
 
 
-def _cell_from_payload(kind, payload):
-    if kind in ("bitmap", "binary-bitmap"):
-        anchor, extent = payload
-        return Cube(tuple(anchor), tuple(extent))
-    return Simplex(payload)
-
-
 def _cell_text(cell) -> str:
     if isinstance(cell, Simplex):
         return " ".join(str(v) for v in cell.vertices)
@@ -263,10 +256,8 @@ def invert(file, degree, nearest, tighten):
         raise MissingProvenance("diagram file was written without provenance")
 
     tb, td = nearest
-    ranked = sorted(
-        (( (b - tb) ** 2 + (d - td) ** 2, b, d, k)
-         for k, (b, d) in enumerate(finite)))
-    _, b, d, k = ranked[0]
+    _, b, d, k = min(((b - tb) ** 2 + (d - td) ** 2, b, d, k)
+                     for k, (b, d) in enumerate(finite))
 
     kind = meta.get("kind")
     params = meta.get("params", {})
@@ -277,23 +268,18 @@ def invert(file, degree, nearest, tighten):
     except FileNotFoundError:
         raise MissingProvenance(
             f"recorded input {meta['input']!r} is gone") from None
-    birth_cell = _cell_from_payload(kind, prov["birth_cells"][k])
-    death_cell = _cell_from_payload(kind, prov["death_cells"][k])
-    lookup = {}
-    wanted = {birth_cell, death_cell}
-    for i in range(len(f)):
-        c = f.cell(i)
-        if c in wanted:
-            lookup[c] = i
-            if len(lookup) == 2:
-                break
-    if len(lookup) != 2:
+    try:
+        birth = f.position(degree, prov["birth_cells"][k])
+        death = f.position(degree + 1, prov["death_cells"][k])
+    except (IndexError, KeyError, TypeError, ValueError):
+        raise MissingProvenance(
+            f"diagram file has no readable cells for pair {k}") from None
+    if birth < 0 or death < 0:
         raise MissingProvenance(
             "recorded input no longer reproduces the diagram")
     pairing, _ = compute_persistence(f)
     try:
-        cycle = representative_cycle(pairing,
-                                     (lookup[birth_cell], lookup[death_cell]))
+        cycle = representative_cycle(pairing, (birth, death))
     except ValueError:
         raise MissingProvenance(
             "recorded input no longer reproduces the diagram") from None

@@ -216,8 +216,21 @@ class Filtration:
         return float(self.values[i])
 
     def cell(self, i: int):
-        d = int(self.dims[i])
-        return _cell(self.kind, self._tables[d][self._rows[i]], self.grid_shape)
+        return _cell(self.kind, self.identity_rows(int(self.dims[i]), i),
+                     self.grid_shape)
+
+    def identity_rows(self, d: int, positions) -> np.ndarray:
+        """Vertex ids, or anchor then extent, of the d-cells at positions."""
+        return self._tables[d][self._rows[positions]]
+
+    def position(self, d: int, row) -> int:
+        """Position of the d-cell whose identity row equals row, else -1."""
+        table = self._tables.get(d)
+        row = np.ravel(row)
+        if table is None or row.shape != table.shape[1:]:
+            return -1
+        hit = np.flatnonzero((table == row).all(axis=1))
+        return int(np.flatnonzero(self.dims == d)[hit[0]]) if len(hit) else -1
 
     @property
     def cells(self) -> list:
@@ -304,7 +317,7 @@ def _lookup_facets(kind, tables, grid_shape=None):
 
 
 def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
-              info=None, check=True) -> Filtration:
+              info=None) -> Filtration:
     """Sort cells into filtration order, build the boundary matrix, validate.
 
     tables_by_dim[d] is an integer identity table (one row per cell of
@@ -316,18 +329,16 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
     dims_parts, vals_parts, rank_parts = [], [], []
     clean_tables = {}
     for d in sorted(tables_by_dim):
-        tab = np.asarray(tables_by_dim[d])
-        if tab.ndim != 2:
-            tab = tab.reshape(len(tab), -1)
-        tab = np.ascontiguousarray(tab, dtype=np.int64)
+        tab = np.ascontiguousarray(tables_by_dim[d], dtype=np.int64)
         vals = np.asarray(values_by_dim[d], dtype=np.float64)
         if len(tab) == 0:
             continue
         perm = np.lexsort(tab.T[::-1])
         ordered = tab[perm]
-        if len(ordered) > 1 and (np.diff(ordered, axis=0) == 0).all(axis=1).any():
-            dup = int(np.flatnonzero((np.diff(ordered, axis=0) == 0).all(axis=1))[0])
-            raise ValueError(f"duplicate cell with identity {tuple(ordered[dup])}")
+        dup = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))
+        if len(dup):
+            raise ValueError(
+                f"duplicate cell with identity {tuple(ordered[dup[0]])}")
         rank = np.empty(len(tab), dtype=np.int64)
         rank[perm] = np.arange(len(tab))
         clean_tables[d] = tab
@@ -381,8 +392,7 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
 
     filt = Filtration(kind, dims_sorted, vals_sorted, final_tables, rows,
                       boundary_matrix=bm, grid_shape=grid_shape, info=info)
-    if check:
-        _check_monotone(filt, bm)
+    _check_monotone(filt, bm)
     return filt
 
 

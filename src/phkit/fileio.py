@@ -203,10 +203,14 @@ def read_bitmap(path) -> Bitmap:
     return _read_ndbitmap(path)
 
 
-def _cell_payload(cell) -> list:
-    if hasattr(cell, "vertices"):
-        return [int(v) for v in cell.vertices]
-    return [list(cell.anchor), list(cell.extent)]
+def _cell_payloads(f, d, positions) -> list:
+    """Vertex ids of simplices, [anchor, extent] of cubes, as JSON lists."""
+    if not len(positions):  # the top degree has no table for its deaths
+        return []
+    rows = f.identity_rows(d, positions)
+    if f.kind == "cubical":
+        rows = rows.reshape(len(rows), 2, -1)
+    return rows.tolist()
 
 
 def write_diagram_file(path, diagrams, *, kind, squared, input_path,
@@ -221,18 +225,16 @@ def write_diagram_file(path, diagrams, *, kind, squared, input_path,
                       in zip(pd.births[finite], pd.deaths[finite])],
             "essential": [float(b) for b in pd.births[~finite]],
         }
-        if with_provenance and pd.birth_index is not None \
-                and pd.filtration is not None:
-            prov = {"birth_cells": [], "death_cells": [],
-                    "essential_cells": []}
-            for i in np.flatnonzero(finite):
-                b, d = pd.provenance(int(i))
-                prov["birth_cells"].append(_cell_payload(b))
-                prov["death_cells"].append(_cell_payload(d))
-            for i in np.flatnonzero(~finite):
-                b, _ = pd.provenance(int(i))
-                prov["essential_cells"].append(_cell_payload(b))
-            entry["provenance"] = prov
+        f = pd.filtration
+        if with_provenance and pd.birth_index is not None and f is not None:
+            entry["provenance"] = {
+                "birth_cells": _cell_payloads(f, pd.degree,
+                                              pd.birth_index[finite]),
+                "death_cells": _cell_payloads(f, pd.degree + 1,
+                                              pd.death_index[finite]),
+                "essential_cells": _cell_payloads(f, pd.degree,
+                                                  pd.birth_index[~finite]),
+            }
         degrees[str(pd.degree)] = entry
     doc = {
         "format": DIAGRAM_FORMAT,
@@ -254,20 +256,25 @@ class DiagramFile:
     """Parsed diagram document: diagrams plus computation metadata."""
 
     def __init__(self, doc: dict):
-        if doc.get("format") != DIAGRAM_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != DIAGRAM_FORMAT:
             raise ParseError(0, "not a diagram file")
         if doc.get("version") != DIAGRAM_VERSION:
             raise ParseError(0, f"unsupported version {doc.get('version')!r}")
         self.metadata = doc.get("metadata", {})
+        if not isinstance(self.metadata, dict):
+            raise ParseError(0, "metadata must be a JSON object")
         self.degrees = {}
         self.provenance = {}
-        for key, entry in doc.get("degrees", {}).items():
-            degree = int(key)
-            pd = PersistenceDiagram.from_pairs(
-                degree, entry.get("pairs", []), entry.get("essential", []))
-            self.degrees[degree] = pd
-            if "provenance" in entry:
-                self.provenance[degree] = entry["provenance"]
+        try:
+            for key, entry in doc.get("degrees", {}).items():
+                degree = int(key)
+                self.degrees[degree] = PersistenceDiagram.from_pairs(
+                    degree, entry.get("pairs", []), entry.get("essential", []))
+                if "provenance" in entry:
+                    self.provenance[degree] = entry["provenance"]
+        except (AttributeError, TypeError, ValueError):
+            raise ParseError(0, "degrees must map each degree to its "
+                             "pairs and essential births") from None
 
     @property
     def max_degree(self) -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,13 +158,14 @@ class PersistencePairing:
 
     pairs are (birth, death) filtration indices sorted by birth; essential
     lists the unpaired cells in index order; pivot_of[i] is the death paired
-    with birth i, or -1. reduced is a read-only mapping with one key per
-    death cell j: its reduced column, the sorted cycle that dies when j
-    enters. For an apparent pair that is j's boundary column, read on
-    demand; the other columns are stored. chains[i], present when the
-    reduction ran with with_v=True, is the chain whose boundary is the
-    reduced column, keyed by column; for positive columns it is the created
-    cycle itself (cleared columns have none).
+    with birth i, or -1, and pairs and essential are read off it on first
+    use. reduced is a read-only mapping with one key per death cell j: its
+    reduced column, the sorted cycle that dies when j enters. For an
+    apparent pair that is j's boundary column, read on demand; the other
+    columns are stored. chains[i], present when the reduction ran with
+    with_v=True, is the chain whose boundary is the reduced column, keyed
+    by column; for positive columns it is the created cycle itself (cleared
+    columns have none).
 
     stats counts the work: apparent_pairs found before the column loop,
     columns_reduced by the loop, column_additions it made and
@@ -171,15 +173,31 @@ class PersistencePairing:
     """
 
     filtration: Filtration
-    pairs: list[tuple[int, int]]
-    essential: list[int]
     reduced: Mapping[int, list[int]]
     pivot_of: np.ndarray
     chains: dict[int, list[int]] | None = None
     stats: dict[str, int] = field(default_factory=dict)
 
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        births, deaths, _ = _read_pairing(self.pivot_of)
+        return list(zip(births.tolist(), deaths.tolist()))
+
+    @cached_property
+    def essential(self) -> list[int]:
+        return _read_pairing(self.pivot_of)[2].tolist()
+
     def degree_of_pair(self, pair) -> int:
         return int(self.filtration.dims[pair[0]])
+
+
+def _read_pairing(pivot_of):
+    """Births ascending, their deaths, and the cells that are neither."""
+    paired = pivot_of >= 0
+    births = np.flatnonzero(paired)
+    deaths = pivot_of[births]
+    paired[deaths] = True
+    return births, deaths, np.flatnonzero(~paired)
 
 
 def _apparent_pairs(indptr, indices, n):
@@ -196,8 +214,7 @@ def _apparent_pairs(indptr, indices, n):
 def _reduce_columns(bm: BoundaryMatrix, dims, *, twist=True, with_v=False):
     """Pair the cells; see the module docstring for the three steps.
 
-    Returns (births, deaths) sorted by birth, the essential cells, the
-    reduced columns, pivot_of, chains and the work counters.
+    Returns the reduced columns, pivot_of, chains and the work counters.
     """
     indptr, indices = bm.indptr, bm.indices
     n = len(dims)
@@ -252,24 +269,15 @@ def _reduce_columns(bm: BoundaryMatrix, dims, *, twist=True, with_v=False):
             skip[births] = True
 
     pivot_of[births] = deaths
-    birth_arr = np.concatenate([sigma, np.asarray(births, dtype=np.int64)])
-    death_arr = np.concatenate([tau, np.asarray(deaths, dtype=np.int64)])
-    order = np.argsort(birth_arr)
-    birth_arr, death_arr = birth_arr[order], death_arr[order]
-    is_birth = pivot_of >= 0
-    paired = is_birth.copy()
-    paired[death_arr] = True
-    essential = np.flatnonzero(~paired)
     stats = {
         "apparent_pairs": len(tau),
         "columns_reduced": columns_reduced,
         "column_additions": additions,
         # with the twist every birth above dimension 0 is skipped
         "cleared_columns":
-            int(np.count_nonzero(is_birth & (dims > 0))) if twist else 0,
+            int(np.count_nonzero((pivot_of >= 0) & (dims > 0))) if twist else 0,
     }
-    return (birth_arr, death_arr, essential,
-            _ReducedColumns(stored, apparent, bm), pivot_of, chains, stats)
+    return _ReducedColumns(stored, apparent, bm), pivot_of, chains, stats
 
 
 def compute_persistence(filtration: Filtration, *, with_v: bool = False,
@@ -281,26 +289,22 @@ def compute_persistence(filtration: Filtration, *, with_v: bool = False,
     needed for essential-cycle extraction.
     """
     bm = filtration.boundary_matrix()
-    births, deaths, essential, reduced, pivot_of, chains, stats = \
+    reduced, pivot_of, chains, stats = \
         _reduce_columns(bm, filtration.dims, twist=twist, with_v=with_v)
-    pairing = PersistencePairing(
-        filtration=filtration,
-        pairs=list(zip(births.tolist(), deaths.tolist())),
-        essential=essential.tolist(), reduced=reduced,
-        pivot_of=pivot_of, chains=chains, stats=stats)
-    diagrams = _diagrams_from_pairing(filtration, births, deaths, essential)
-    return pairing, diagrams
+    pairing = PersistencePairing(filtration=filtration, reduced=reduced,
+                                 pivot_of=pivot_of, chains=chains, stats=stats)
+    return pairing, _diagrams_from_pairing(filtration, pivot_of)
 
 
-def _diagrams_from_pairing(f: Filtration, births, deaths,
-                           essential) -> list[PersistenceDiagram]:
-    """One diagram per degree from pairs sorted by birth and the essentials.
+def _diagrams_from_pairing(f: Filtration, pivot_of) -> list[PersistenceDiagram]:
+    """One diagram per degree from the pairs, sorted by birth, and essentials.
 
     Pairs come before essentials ahead of each diagram's stable sort, so
     ties keep that order.
     """
     if not len(f):
         return []
+    births, deaths, essential = _read_pairing(pivot_of)
     vals = f.values
     keep = vals[births] != vals[deaths]
     birth_index = np.concatenate([births[keep], essential])

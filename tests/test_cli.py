@@ -381,3 +381,91 @@ def test_provenance_stored_as_json(tetra_dir):
     assert doc["format"] == "phkit-diagram"
     assert doc["metadata"]["input"] == "tetra.txt"
     assert "provenance" in doc["degrees"]["1"]
+
+
+RING_PGM = ("P2\n7 4\n9\n"
+            "1 1 1 1 1 9 0\n"
+            "1 5 5 5 1 9 9\n"
+            "1 5 5 5 1 9 9\n"
+            "1 1 1 1 1 9 9\n")
+
+
+def parse_cubes(lines):
+    """(anchor, extent) tuples from 'a,b e,f' lines."""
+    out = []
+    for ln in lines:
+        anchor, extent = ln.split()
+        out.append((tuple(int(a) for a in anchor.split(",")),
+                    tuple(int(e) for e in extent.split(","))))
+    return out
+
+
+@pytest.fixture
+def ring_dir(tmp_path):
+    (tmp_path / "ring.pgm").write_text(RING_PGM)
+    r = run("compute", "ring.pgm", "--kind", "bitmap", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    return tmp_path
+
+
+def test_invert_cubical_degree0(ring_dir):
+    r = run("invert", "ring.diagram.json", "--degree", "0", "--nearest",
+            "1", "9", cwd=ring_dir)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[:2] == ["pair: 1 9", "cells (1):"]
+    [(anchor, extent)] = parse_cubes(lines[2:])
+    assert len(anchor) == 2 and extent == (0, 0)
+
+
+def test_invert_cubical_degree1_tighten(ring_dir):
+    r = run("invert", "ring.diagram.json", "--degree", "1", "--nearest",
+            "1", "5", "--tighten", cwd=ring_dir)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "pair: 1 5"
+    n = int(lines[1].removeprefix("cells (").rstrip("):"))
+    edges = parse_cubes(lines[2:])
+    assert len(edges) == n >= 4
+    assert all(sum(extent) == 1 for _, extent in edges)
+    # the edges close up into a loop: every corner appears exactly twice
+    ends = [c for a, e in edges
+            for c in (a, tuple(x + y for x, y in zip(a, e)))]
+    assert all(ends.count(c) == 2 for c in ends)
+    assert "vertices:" not in r.stdout
+
+
+def test_invert_changed_input_exits_3(tetra_dir):
+    # two points have no triangle, so the recorded death cell is gone
+    (tetra_dir / "tetra.txt").write_text("0 0 0\n1 0 0\n")
+    r = run("invert", "tetra.diagram.json", "--degree", "1", "--nearest",
+            "0.5", "0.58", cwd=tetra_dir)
+    assert r.returncode == 3
+    assert "MissingProvenance" in r.stderr
+    assert "no longer reproduces" in r.stderr
+
+
+@pytest.mark.parametrize("damage", [
+    lambda prov: prov.update(birth_cells=[]),
+    lambda prov: prov.pop("death_cells"),
+    lambda prov: prov.update(birth_cells=[[[0, 1], [2]]] * 3),
+    lambda prov: prov.update(death_cells=[None] * 3),
+    lambda prov: prov.update(death_cells=[[0, 1, 2, 3]] * 3),
+], ids=["short", "missing", "ragged", "null", "wrong-width"])
+def test_invert_damaged_provenance_exits_3(tetra_dir, damage):
+    path = tetra_dir / "tetra.diagram.json"
+    doc = json.loads(path.read_text())
+    damage(doc["degrees"]["1"]["provenance"])
+    path.write_text(json.dumps(doc))
+    r = run("invert", "tetra.diagram.json", "--degree", "1", "--nearest",
+            "0.5", "0.58", cwd=tetra_dir)
+    assert r.returncode == 3, r.stderr
+    assert "MissingProvenance" in r.stderr
+
+
+def test_malformed_diagram_file_exits_2(tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"format": "phkit-diagram", "version": 1, "degrees": []}))
+    r = run("pairs", "bad.json", "--degree", "0", cwd=tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr

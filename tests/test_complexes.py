@@ -235,3 +235,27 @@ def test_builder_facets_match_lookup():
                               f.boundary_matrix().indptr)
         assert np.array_equal(g.boundary_matrix().indices,
                               f.boundary_matrix().indices)
+
+
+def test_position_finds_every_identity_row():
+    for f in builder_samples():
+        for d in range(f.max_dim + 1):
+            positions = np.flatnonzero(f.dims == d)
+            rows = f.identity_rows(d, positions)
+            assert [f.position(d, row) for row in rows] == positions.tolist()
+            row = rows[0]
+            assert f.position(d, row + 10 ** 6) == -1
+            assert f.position(d, np.append(row, 0)) == -1
+            assert f.position(d, row[1:]) == -1
+        assert f.position(f.max_dim + 1, rows[0]) == -1
+
+
+def test_identity_rows_are_the_cells():
+    f = cubical_filtration(np.random.default_rng(2).random((3, 4)))
+    edges = np.flatnonzero(f.dims == 1)
+    rows = f.identity_rows(1, edges)
+    assert [Cube(r[:2], r[2:]) for r in rows] == [f.cell(i) for i in edges]
+    # a cube's row flattens [anchor, extent]
+    i = int(edges[3])
+    cube = f.cell(i)
+    assert f.position(1, [list(cube.anchor), list(cube.extent)]) == i

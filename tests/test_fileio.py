@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from phkit import (alpha_filtration, compute_persistence, read_bitmap,
-                   read_diagram_file, read_distance_matrix, read_point_cloud,
-                   write_diagram_file, PointCloud)
+from phkit import (Bitmap, alpha_filtration, compute_persistence,
+                   cubical_filtration, read_bitmap, read_diagram_file,
+                   read_distance_matrix, read_point_cloud, write_diagram_file,
+                   PointCloud)
 from phkit.errors import ParseError
 
 
@@ -223,3 +224,48 @@ def test_diagram_missing_degree_is_empty(tmp_path):
     df = read_diagram_file(p)
     assert df.max_degree == 2
     assert len(df.diagram(1)) == 0
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"format": "phkit-diagram", "version": 1, "degrees": []},
+    {"format": "phkit-diagram", "version": 1,
+     "degrees": {"0": {"pairs": None, "essential": []}}},
+    {"format": "phkit-diagram", "version": 1, "metadata": [],
+     "degrees": {}},
+    {"format": "phkit-diagram", "version": 1,
+     "degrees": {"0": [[0.0, 1.0]]}},
+    {"format": "phkit-diagram", "version": 1,
+     "degrees": {"0": {"pairs": [[0.0]]}}},
+], ids=["array", "degrees-array", "pairs-null", "metadata-array",
+        "degree-array", "short-pair"])
+def test_diagram_malformed_document(tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        read_diagram_file(p)
+
+
+def test_provenance_matches_cell_objects(tmp_path):
+    # the writer reads identity rows; they must name the same cells as the
+    # Simplex/Cube objects of PersistenceDiagram.provenance
+    rng = np.random.default_rng(3)
+    for kind, f in [
+            ("pointcloud", alpha_filtration(PointCloud(rng.random((30, 3))))),
+            ("bitmap", cubical_filtration(Bitmap(rng.random((5, 4, 3)))))]:
+        _, diagrams = compute_persistence(f)
+        out = tmp_path / f"{kind}.json"
+        write_diagram_file(out, diagrams, kind=kind, squared=True,
+                           input_path="x")
+        df = read_diagram_file(out)
+        for pd in diagrams:
+            finite = np.flatnonzero(pd.finite_mask)
+            cells = [pd.provenance(int(i)) for i in finite]
+            ess = [pd.provenance(int(i))[0]
+                   for i in np.flatnonzero(~pd.finite_mask)]
+            as_list = (list if kind == "pointcloud" else
+                       lambda c: [list(c.anchor), list(c.extent)])
+            prov = df.provenance[pd.degree]
+            assert prov["birth_cells"] == [as_list(b) for b, _ in cells]
+            assert prov["death_cells"] == [as_list(d) for _, d in cells]
+            assert prov["essential_cells"] == [as_list(b) for b in ess]
