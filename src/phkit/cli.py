@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -58,8 +59,8 @@ def main():
     """Persistent homology toolkit."""
 
 
-def _signed_sqrt(x: float) -> float:
-    return float(np.sign(x) * np.sqrt(abs(x)))
+def _signed_sqrt(a: np.ndarray) -> np.ndarray:
+    return np.sign(a) * np.sqrt(np.abs(a))
 
 
 def _build_filtration(input_path, kind, maxdim, max_value, positive_inside):
@@ -110,7 +111,9 @@ def compute(input_path, kind, maxdim, max_value, squared, positive_inside,
         diagrams = [pd for pd in diagrams if pd.degree <= maxdim]
     pointcloud = kind in ("pointcloud", "pointcloud-weighted")
     if pointcloud and not squared:
-        diagrams = [pd.scaled(_signed_sqrt) for pd in diagrams]
+        diagrams = [replace(pd, births=_signed_sqrt(pd.births),
+                            deaths=_signed_sqrt(pd.deaths))
+                    for pd in diagrams]
     params = {"maxdim": maxdim}
     if kind == "distance-matrix":
         params["max_value"] = max_value
@@ -138,8 +141,9 @@ def _load_degree(path, degree):
 def pairs(file, degree):
     """Print 'birth death' per line, essential classes as 'birth inf'."""
     _, pd = _load_degree(file, degree)
-    for b, d in pd.pairs:
-        click.echo(f"{b:.17g} {d:.17g}")
+    click.echo("".join(f"{b:.17g} {d:.17g}\n" for b, d
+                       in zip(pd.births.tolist(), pd.deaths.tolist())),
+               nl=False)
 
 
 def _default_range(pd):
@@ -261,6 +265,10 @@ def invert(file, degree, nearest, tighten):
 
     kind = meta.get("kind")
     params = meta.get("params", {})
+    if (kind not in KINDS or not isinstance(params, dict)
+            or not isinstance(meta["input"], str)):
+        raise ParseError(0, "metadata must name a known kind and the input "
+                         "path, and hold params as a JSON object")
     try:
         f = _build_filtration(meta["input"], kind, params.get("maxdim"),
                               params.get("max_value"),

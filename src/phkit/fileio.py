@@ -9,6 +9,7 @@ Floats survive a write/read round trip bit-exactly via repr formatting.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -203,40 +204,61 @@ def read_bitmap(path) -> Bitmap:
     return _read_ndbitmap(path)
 
 
-def _cell_payloads(f, d, positions) -> list:
-    """Vertex ids of simplices, [anchor, extent] of cubes, as JSON lists."""
+def _item_template(shape, indent: int) -> str:
+    """%-template of one array item of this shape, json's indent=1 layout.
+
+    indent is the indentation of the line the item's opening bracket is on.
+    """
+    if not shape:
+        return "%s"
+    inner = ",\n" + " " * (indent + 1)
+    item = _item_template(shape[1:], indent + 1)
+    return ("[\n" + " " * (indent + 1) + inner.join([item] * shape[0])
+            + "\n" + " " * indent + "]")
+
+
+def _json_array(a: np.ndarray, indent: int) -> str:
+    """a as json.dumps(a.tolist(), indent=1), its first line at indent.
+
+    Ints and finite floats print as their repr, like json's; NaN and the
+    infinities get json's own spelling.
+    """
+    if not len(a):
+        return "[]"
+    values = a.ravel().tolist()
+    if not np.isfinite(a).all():
+        values = [v if math.isfinite(v) else json.dumps(v) for v in values]
+    row = _item_template(a.shape[1:], indent + 1)
+    rows = zip(*[iter(values)] * (a.size // len(a)))
+    inner = " " * (indent + 1)
+    return ("[\n" + inner + (",\n" + inner).join([row % r for r in rows])
+            + "\n" + " " * indent + "]")
+
+
+def _cells(f, d, positions) -> np.ndarray:
+    """Vertex ids of simplices, (anchor, extent) of cubes, one per row."""
     if not len(positions):  # the top degree has no table for its deaths
-        return []
+        return np.empty(0, dtype=np.int64)
     rows = f.identity_rows(d, positions)
     if f.kind == "cubical":
         rows = rows.reshape(len(rows), 2, -1)
-    return rows.tolist()
+    return rows
 
 
 def write_diagram_file(path, diagrams, *, kind, squared, input_path,
                        params=None, with_provenance=True):
-    """Serialize diagrams (optionally with birth/death cells) as JSON."""
-    degrees = {}
+    """Serialize diagrams (optionally with birth/death cells) as JSON.
+
+    The bytes are those of json.dump(doc, fh, indent=1) plus a newline:
+    the header and the degree keys go through json.dumps, and the arrays
+    are formatted in json's indent=1 layout by _json_array, one section
+    at a time.
+    """
+    by_degree = {}
     for pd in diagrams:
         pd.sort()
-        finite = pd.finite_mask
-        entry = {
-            "pairs": [[float(b), float(d)] for b, d
-                      in zip(pd.births[finite], pd.deaths[finite])],
-            "essential": [float(b) for b in pd.births[~finite]],
-        }
-        f = pd.filtration
-        if with_provenance and pd.birth_index is not None and f is not None:
-            entry["provenance"] = {
-                "birth_cells": _cell_payloads(f, pd.degree,
-                                              pd.birth_index[finite]),
-                "death_cells": _cell_payloads(f, pd.degree + 1,
-                                              pd.death_index[finite]),
-                "essential_cells": _cell_payloads(f, pd.degree,
-                                                  pd.birth_index[~finite]),
-            }
-        degrees[str(pd.degree)] = entry
-    doc = {
+        by_degree[str(pd.degree)] = pd
+    header = json.dumps({
         "format": DIAGRAM_FORMAT,
         "version": DIAGRAM_VERSION,
         "metadata": {
@@ -245,11 +267,34 @@ def write_diagram_file(path, diagrams, *, kind, squared, input_path,
             "input": str(input_path),
             "params": params or {},
         },
-        "degrees": degrees,
-    }
+    }, indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        # the header less its closing "\n}", then the degrees object
+        fh.write(header[:-2] + ',\n "degrees": {')
+        for n, (key, pd) in enumerate(by_degree.items()):
+            finite = pd.finite_mask
+            births = pd.births.astype(np.float64)
+            deaths = pd.deaths.astype(np.float64)
+            fh.write(("," if n else "") + "\n  " + json.dumps(key) + ": {")
+            fh.write('\n   "pairs": ' + _json_array(
+                np.column_stack((births[finite], deaths[finite])), 3))
+            fh.write(',\n   "essential": ' + _json_array(births[~finite], 3))
+            f = pd.filtration
+            if (with_provenance and pd.birth_index is not None
+                    and f is not None):
+                d = pd.degree
+                fh.write(',\n   "provenance": {\n    "birth_cells": '
+                         + _json_array(_cells(f, d, pd.birth_index[finite]),
+                                       4))
+                fh.write(',\n    "death_cells": '
+                         + _json_array(_cells(f, d + 1,
+                                              pd.death_index[finite]), 4))
+                fh.write(',\n    "essential_cells": '
+                         + _json_array(_cells(f, d, pd.birth_index[~finite]),
+                                       4))
+                fh.write("\n   }")
+            fh.write("\n  }")
+        fh.write("\n }\n}\n" if by_degree else "}\n}\n")
 
 
 class DiagramFile:

@@ -357,6 +357,17 @@ def test_weighted_pointcloud_signed_sqrt(tmp_path):
     assert min(pd0.essential_births) == pytest.approx(-0.5)
 
 
+def test_signed_sqrt_matches_per_value_form():
+    from phkit.cli import _signed_sqrt
+
+    values = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 2.0, -2.0, 0.3,
+              math.inf]
+    expected = [float(np.sign(x) * np.sqrt(abs(x))) for x in values]
+    got = _signed_sqrt(np.array(values))
+    assert got.tobytes() == np.array(expected).tobytes()
+    assert got[-1] == math.inf
+
+
 def test_outputs_byte_identical_across_runs(tmp_path):
     for sub in ("one", "two"):
         d = tmp_path / sub
@@ -461,6 +472,23 @@ def test_invert_damaged_provenance_exits_3(tetra_dir, damage):
             "0.5", "0.58", cwd=tetra_dir)
     assert r.returncode == 3, r.stderr
     assert "MissingProvenance" in r.stderr
+
+
+@pytest.mark.parametrize("damage", [
+    lambda meta: meta.update(params=[]),
+    lambda meta: meta.update(kind="nonsense"),
+    lambda meta: meta.update(input=["ring.pgm"]),
+], ids=["params-array", "unknown-kind", "input-array"])
+def test_invert_malformed_metadata_exits_2(ring_dir, damage):
+    path = ring_dir / "ring.diagram.json"
+    doc = json.loads(path.read_text())
+    damage(doc["metadata"])
+    path.write_text(json.dumps(doc))
+    r = run("invert", "ring.diagram.json", "--degree", "0", "--nearest",
+            "1", "9", cwd=ring_dir)
+    assert r.returncode == 2, r.stderr
+    assert "metadata" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_malformed_diagram_file_exits_2(tmp_path):

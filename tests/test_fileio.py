@@ -1,14 +1,16 @@
 """File readers and the diagram JSON format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from phkit import (Bitmap, alpha_filtration, compute_persistence,
-                   cubical_filtration, read_bitmap, read_diagram_file,
-                   read_distance_matrix, read_point_cloud, write_diagram_file,
-                   PointCloud)
+from phkit import (Bitmap, DistanceMatrix, PersistenceDiagram,
+                   alpha_filtration, compute_persistence, cubical_filtration,
+                   make_filtration, read_bitmap, read_diagram_file,
+                   read_distance_matrix, read_point_cloud, rips_filtration,
+                   weighted_alpha_filtration, write_diagram_file, PointCloud)
 from phkit.errors import ParseError
 
 
@@ -269,3 +271,144 @@ def test_provenance_matches_cell_objects(tmp_path):
             assert prov["birth_cells"] == [as_list(b) for b, _ in cells]
             assert prov["death_cells"] == [as_list(d) for _, d in cells]
             assert prov["essential_cells"] == [as_list(b) for b in ess]
+
+
+def json_dump_reference(path, diagrams, *, kind, squared, input_path,
+                        params=None, with_provenance=True):
+    """The diagram file as a json.dump(doc, indent=1) of nested lists."""
+    def cells(f, d, positions):
+        if not len(positions):
+            return []
+        rows = f.identity_rows(d, positions)
+        if f.kind == "cubical":
+            rows = rows.reshape(len(rows), 2, -1)
+        return rows.tolist()
+
+    degrees = {}
+    for pd in diagrams:
+        pd.sort()
+        finite = pd.finite_mask
+        entry = {
+            "pairs": [[float(b), float(d)] for b, d
+                      in zip(pd.births[finite], pd.deaths[finite])],
+            "essential": [float(b) for b in pd.births[~finite]],
+        }
+        f = pd.filtration
+        if with_provenance and pd.birth_index is not None and f is not None:
+            entry["provenance"] = {
+                "birth_cells": cells(f, pd.degree, pd.birth_index[finite]),
+                "death_cells": cells(f, pd.degree + 1,
+                                     pd.death_index[finite]),
+                "essential_cells": cells(f, pd.degree,
+                                         pd.birth_index[~finite]),
+            }
+        degrees[str(pd.degree)] = entry
+    doc = {
+        "format": "phkit-diagram",
+        "version": 1,
+        "metadata": {"kind": kind, "squared": bool(squared),
+                     "input": str(input_path), "params": params or {}},
+        "degrees": degrees,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _diagrams(f):
+    return compute_persistence(f)[1]
+
+
+def _unsquared(diagrams):
+    return [pd.scaled(np.sqrt) for pd in diagrams]
+
+
+def _big_vertex_ids():
+    # vertex ids past 2**31, -0.0 and a subnormal as filtration values
+    a, b, c = 2**31, 2**31 + 1, 2**40
+    return make_filtration([((a,), -0.0), ((b,), 5e-324), ((c,), 0.0),
+                            ((a, b), 1.0), ((a, c), 1.0), ((b, c), 2.0),
+                            ((a, b, c), 3.0)])
+
+
+def _odd_values():
+    # -0.0, subnormals, NaN and an essential birth of -inf, no filtration
+    nan, inf = math.nan, math.inf
+    return [PersistenceDiagram.from_pairs(0, [(-0.0, 5e-324), (nan, 1.0),
+                                              (-5e-324, 2.5e-308)],
+                                          [-inf, -0.0]),
+            PersistenceDiagram.from_pairs(1, [], []),
+            PersistenceDiagram.from_pairs(2, [], [1e300]),
+            PersistenceDiagram(3, np.array([nan, 0.5]),
+                               np.array([nan, -inf]))]
+
+
+def _hidden_point():
+    f = weighted_alpha_filtration(
+        np.array([[0.0, 0], [0.1, 0], [3.0, 0], [0.0, 3.0], [-3.0, -3.0]]),
+        np.array([4.0, 0.0, 0.0, 0.0, 0.0]))
+    assert f.info["hidden_points"] == [1]
+    return f
+
+
+def _cloud(n, dim):
+    return PointCloud(np.random.default_rng(11).random((n, dim)))
+
+
+def _volume(*shape):
+    return Bitmap(np.random.default_rng(11).random(shape))
+
+
+# name -> (diagrams, writer options); built when the case runs
+WRITER_CASES = {
+    "alpha-2d-squared": lambda: (
+        _diagrams(alpha_filtration(_cloud(40, 2))), {"squared": True}),
+    "alpha-2d": lambda: (
+        _unsquared(_diagrams(alpha_filtration(_cloud(40, 2)))), {}),
+    "alpha-3d-squared": lambda: (
+        _diagrams(alpha_filtration(_cloud(40, 3))), {"squared": True}),
+    "alpha-3d": lambda: (
+        _unsquared(_diagrams(alpha_filtration(_cloud(40, 3)))), {}),
+    "alpha-3d-no-provenance": lambda: (
+        _diagrams(alpha_filtration(_cloud(40, 3))),
+        {"with_provenance": False}),
+    "weighted-hidden": lambda: (
+        _diagrams(_hidden_point()), {"kind": "pointcloud-weighted"}),
+    "weighted-3d": lambda: (
+        _diagrams(weighted_alpha_filtration(
+            _cloud(30, 3).points, np.linspace(0.0, 0.01, 30))),
+        {"kind": "pointcloud-weighted"}),
+    # degree 2 is the top degree: essential births only, no death cells
+    "rips": lambda: (
+        _diagrams(rips_filtration(
+            DistanceMatrix.from_points(_cloud(15, 2).points), 2, 0.6)),
+        {"kind": "distance-matrix",
+         "params": {"maxdim": 2, "max_value": 0.6}}),
+    "cubical-1d": lambda: (
+        _diagrams(cubical_filtration(_volume(9))), {"kind": "bitmap"}),
+    "cubical-2d": lambda: (
+        _diagrams(cubical_filtration(_volume(6, 5))), {"kind": "bitmap"}),
+    "cubical-3d": lambda: (
+        _diagrams(cubical_filtration(_volume(4, 3, 3))), {"kind": "bitmap"}),
+    "cubical-4d": lambda: (
+        _diagrams(cubical_filtration(_volume(3, 3, 2, 2))),
+        {"kind": "bitmap"}),
+    "big-vertex-ids": lambda: (_diagrams(_big_vertex_ids()), {}),
+    "from-pairs": lambda: (
+        [PersistenceDiagram.from_pairs(1, [(0.25, 0.5), (0.125, 1.0)],
+                                       [0.0])], {}),
+    "odd-values": lambda: (
+        _odd_values(), {"input_path": "données/nuage-é.txt"}),
+    "no-degrees": lambda: ([], {"params": {"maxdim": None}}),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_writer_bytes_equal_json_dump(tmp_path, case):
+    diagrams, options = WRITER_CASES[case]()
+    kw = {"kind": "pointcloud", "squared": False, "input_path": "in.txt",
+          **options}
+    write_diagram_file(tmp_path / "new.json", diagrams, **kw)
+    json_dump_reference(tmp_path / "ref.json", diagrams, **kw)
+    assert ((tmp_path / "new.json").read_bytes()
+            == (tmp_path / "ref.json").read_bytes())
