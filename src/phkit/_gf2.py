@@ -1,8 +1,8 @@
 """Dense GF(2) linear algebra on int bitmasks.
 
 Columns are Python ints; bit r set means row r carries a 1. Arbitrary
-precision ints make row counts of a few thousand cheap, which covers both
-Betti number computation and the rank-based persistence oracle.
+precision ints make row counts of a few thousand cheap, which covers the
+rank-based persistence oracle, the only user.
 """
 
 from __future__ import annotations
@@ -38,13 +38,6 @@ class EchelonBasis:
             return False
         self._pivots[v.bit_length() - 1] = v
         return True
-
-
-def rank_of(columns) -> int:
-    basis = EchelonBasis()
-    for c in columns:
-        basis.insert(c)
-    return basis.rank
 
 
 def column_bitmask(rows) -> int:

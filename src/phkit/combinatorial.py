@@ -6,6 +6,11 @@ at level a is exactly the clique complex of the subgraph with edges of
 weight <= a. Vertices all sit at 0. A Rips filtration is the clique
 filtration of a complete graph weighted by pairwise distances, truncated
 to edges no longer than a cutoff.
+
+Both reach one builder as edge arrays (i, j, w) sorted by (i, j), i < j.
+It makes each dimension in one numpy step: the cliques one dimension down
+gain each neighbour above their last vertex that the sorted edge keys
+i*n + j show adjacent to every earlier vertex.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .errors import BadParams
 
 
 class WeightedGraph:
-    """Undirected graph on vertices 0..n-1 with real edge weights."""
+    """Undirected graph on vertices 0..n-1 with non-negative edge weights."""
 
     def __init__(self, n: int, edges):
         self.n = int(n)
@@ -30,8 +35,9 @@ class WeightedGraph:
                 raise ValueError(f"bad edge ({i}, {j}) for n={self.n}")
             if (i, j) in self.weights:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            if not np.isfinite(w):
-                raise ValueError(f"edge ({i}, {j}) has non-finite weight")
+            if not 0 <= w < np.inf:
+                raise ValueError(f"edge ({i}, {j}) has weight {w}; weights "
+                                 "must be finite and non-negative")
             self.weights[(i, j)] = w
 
     @property
@@ -74,47 +80,13 @@ class DistanceMatrix:
 def clique_filtration(g: WeightedGraph, max_dim: int) -> Filtration:
     """All cliques of g up to max_dim+1 vertices; value = max edge weight.
 
-    Vertices enter at 0, so edge weights are expected to be non-negative;
-    a negative weight trips the monotonicity check downstream.
+    Vertices enter at 0; WeightedGraph rejects negative weights, and an
+    edge of weight -0.0 enters at +0.0.
     """
-    max_dim = int(max_dim)
-    if max_dim < 0:
-        raise BadParams("max_dim must be >= 0")
-    n = g.n
-    adj = [0] * n
-    for (i, j) in g.weights:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-
-    tables = {0: np.arange(n, dtype=np.int64)[:, None]}
-    values = {0: np.zeros(n)}
-    # frontier entries: (vertex tuple, value, candidate bitmask above last)
-    frontier = []
-    for i in range(n):
-        above = adj[i] >> (i + 1) << (i + 1)
-        frontier.append(((i,), 0.0, above))
-    for d in range(1, max_dim + 1):
-        rows, vals, nxt = [], [], []
-        for verts, value, cand in frontier:
-            c = cand
-            while c:
-                v = (c & -c).bit_length() - 1
-                c &= c - 1
-                w = max(g.weights[(u, v)] for u in verts)
-                new_value = max(value, w)
-                new_verts = verts + (v,)
-                rows.append(new_verts)
-                vals.append(new_value)
-                if d < max_dim:
-                    above_v = (adj[v] >> (v + 1)) << (v + 1)
-                    nxt.append((new_verts, new_value, cand & above_v))
-        if not rows:
-            break
-        tables[d] = np.array(rows, dtype=np.int64)
-        values[d] = np.array(vals)
-        frontier = nxt
-    return _assemble("simplicial", tables, values,
-                     _lookup_facets("simplicial", tables))
+    ij = np.array(list(g.weights), dtype=np.int64).reshape(-1, 2)
+    w = np.fromiter(g.weights.values(), dtype=np.float64, count=len(ij))
+    order = np.lexsort((ij[:, 1], ij[:, 0]))
+    return _cliques(g.n, ij[order, 0], ij[order, 1], w[order], max_dim)
 
 
 def rips_filtration(d: DistanceMatrix, max_dim: int,
@@ -123,8 +95,35 @@ def rips_filtration(d: DistanceMatrix, max_dim: int,
     max_value = float(max_value)
     if not max_value > 0:
         raise BadParams("max_value must be positive")
-    iu, ju = np.triu_indices(d.n, k=1)
-    keep = d.d[iu, ju] <= max_value
-    edges = [(int(i), int(j), float(d.d[i, j]))
-             for i, j in zip(iu[keep], ju[keep])]
-    return clique_filtration(WeightedGraph(d.n, edges), max_dim)
+    iu, ju = np.nonzero(np.triu(d.d <= max_value, k=1))  # sorted by (i, j)
+    return _cliques(d.n, iu, ju, d.d[iu, ju], max_dim)
+
+
+def _cliques(n, i, j, w, max_dim) -> Filtration:
+    """The clique filtration of edge arrays; see the module docstring."""
+    max_dim = int(max_dim)
+    if max_dim < 0:
+        raise BadParams("max_dim must be >= 0")
+    start = np.searchsorted(i, np.arange(n + 1))  # CSR offsets of i
+    keys = np.append(i * n + j, n * n)  # ascending; no query equals n*n
+    w = w + 0.0  # -0.0 becomes +0.0, as np.maximum(0.0, -0.0) is -0.0
+    tab, val = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
+    tables, values = {0: tab}, {0: val}
+    for d in range(1, max_dim + 1):
+        lo = start[tab[:, -1]]
+        count = start[tab[:, -1] + 1] - lo
+        parent = np.repeat(np.arange(len(tab)), count)
+        edge = np.arange(len(parent)) + (lo + count - np.cumsum(count))[parent]
+        v, new_val = j[edge], np.maximum(val[parent], w[edge])
+        for col in tab.T[:-1]:
+            q = col[parent] * n + v
+            pos = np.searchsorted(keys, q)
+            ok = keys[pos] == q
+            parent, v = parent[ok], v[ok]
+            new_val = np.maximum(new_val[ok], w[pos[ok]])
+        if not len(parent):
+            break
+        tab, val = np.column_stack([tab[parent], v]), new_val
+        tables[d], values[d] = tab, val
+    return _assemble("simplicial", tables, values,
+                     _lookup_facets("simplicial", tables))

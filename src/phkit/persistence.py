@@ -30,7 +30,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._gf2 import EchelonBasis, column_bitmask
 from .complexes import (BoundaryMatrix, Filtration, SimplicialComplex,
                         make_filtration)
 from .errors import EssentialPair, NotDegreeOne
@@ -335,33 +334,23 @@ def betti_numbers(obj, prefix: int | None = None) -> list[int]:
 
     Accepts a SimplicialComplex or a Filtration; pass prefix to restrict a
     filtration to its first `prefix` cells (which are always face-closed).
+    Read off the filtration's pairing: the classes alive in the prefix are
+    those born in it that die after it or never.
     """
     if isinstance(obj, SimplicialComplex):
         return betti_numbers(make_filtration((c, 0.0) for c in obj.cells))
 
-    filtration: Filtration = obj
-    n = len(filtration) if prefix is None else int(prefix)
-    if not 0 <= n <= len(filtration):
+    n = len(obj) if prefix is None else int(prefix)
+    if not 0 <= n <= len(obj):
         raise ValueError(f"prefix {n} out of range")
     if n == 0:
         return []
-    bm = filtration.boundary_matrix()
-    dims = filtration.dims[:n]
-    max_dim = int(dims.max(initial=0))
-    ranks = np.zeros(max_dim + 2, dtype=np.int64)
-    counts = np.zeros(max_dim + 2, dtype=np.int64)
-    bases = [EchelonBasis() for _ in range(max_dim + 2)]
-    for j in range(n):
-        d = int(dims[j])
-        counts[d] += 1
-        col = bm.indices[bm.indptr[j]:bm.indptr[j + 1]]
-        if len(col) and bases[d].insert(column_bitmask(col)):
-            ranks[d] += 1
-    out = []
-    for d in range(max_dim + 1):
-        nullity = counts[d] - ranks[d]
-        out.append(int(nullity - ranks[d + 1]))
-    return out
+    pairing, _ = compute_persistence(obj)
+    births, deaths, essential = _read_pairing(pairing.pivot_of)
+    alive = np.concatenate([births[(births < n) & (deaths >= n)],
+                            essential[essential < n]])
+    return np.bincount(obj.dims[alive],
+                       minlength=int(obj.dims[:n].max()) + 1).tolist()
 
 
 @dataclass

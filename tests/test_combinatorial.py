@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -77,22 +78,37 @@ def brute_cliques(weights, n, a, size):
 
 def test_prefix_equals_clique_complex():
     rng = np.random.default_rng(9)
+    graphs = []
     for _ in range(10):
         n = 7
         edges = []
         for i, j in combinations(range(n), 2):
             if rng.random() < 0.6:
                 edges.append((i, j, float(rng.integers(1, 6))))
+        graphs.append((n, edges, 3))
+    k6 = [(i, j, float(rng.integers(1, 3)))
+          for i, j in combinations(range(6), 2)]
+    graphs += [(0, [], 3), (1, [], 3), (5, [], 3), (7, graphs[0][1], 0),
+               (6, k6, 5)]
+    for n, edges, max_dim in graphs:
         g = WeightedGraph(n, edges)
-        f = clique_filtration(g, max_dim=3)
+        f = clique_filtration(g, max_dim=max_dim)
         for a in [1.0, 2.5, 5.0]:
             k = f.prefix_length(a)
-            got = {c.vertices for c in (f.cell(i) for i in range(k))
-                   if c.dimension >= 1}
-            want = set()
-            for size in (2, 3, 4):
+            got = {c.vertices for c in (f.cell(i) for i in range(k))}
+            want = {(v,) for v in range(n)}
+            for size in range(2, max_dim + 2):
                 want |= brute_cliques(g.weights, n, a, size)
             assert got == want
+
+
+def test_negative_zero_weights_enter_at_positive_zero():
+    z = np.array([[0.0, -0.0, 0.5], [-0.0, 0.0, -0.0], [0.5, -0.0, 0.0]])
+    g = WeightedGraph(3, [(0, 1, -0.0), (1, 2, -0.0), (0, 2, 0.5)])
+    for f in [rips_filtration(DistanceMatrix(z), 2, 1.0),
+              clique_filtration(g, 2)]:
+        assert len(f) == 7
+        assert all(math.copysign(1, v) == 1 for v in f.values)
 
 
 def test_degree_zero_deaths_are_mst_edges():
@@ -130,6 +146,8 @@ def test_graph_validation():
         WeightedGraph(2, [(0, 1, np.nan)])
     with pytest.raises(ValueError):
         WeightedGraph(2, [(0, 2, 1.0)])
+    with pytest.raises(ValueError):
+        WeightedGraph(3, [(0, 1, -2.0), (1, 2, 1.0), (0, 2, -1.0)])
 
 
 def test_distance_matrix_validation():

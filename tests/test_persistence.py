@@ -175,6 +175,11 @@ def test_oracle_matches_engine_on_random_filtrations():
         assert len(dgms) == len(oracle)
         for a, b in zip(dgms, oracle):
             assert multiset(a) == multiset(b)
+        for v in np.unique(f.values):
+            alive = [int(np.sum((pd.births <= v) & (v < pd.deaths)))
+                     for pd in oracle]
+            betti = betti_numbers(f, prefix=f.prefix_length(v))
+            assert betti + [0] * (len(alive) - len(betti)) == alive
 
 
 def test_oracle_size_cap():
