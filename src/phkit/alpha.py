@@ -279,29 +279,18 @@ def _alpha_tables(points, weights, top):
         values[d] = np.where(non_gabriel, prop, raw[d])
     values[0] = raw[0]
 
-    # monotone clamp: float dust only, construction is monotone by design
+    # monotone clamp: float dust only, construction is monotone by design;
+    # a larger gap means the triangulation does not fit the coordinates
     for d in range(1, top_dim + 1):
         face_vals = values[d - 1][faces_of[d]]
         floor = face_vals.max(axis=1)
         slack = values[d] - floor
-        assert slack.min(initial=0.0) > \
-            -1e-6 * max(1.0, np.abs(floor).max(initial=0.0))
+        if slack.min(initial=0.0) <= \
+                -1e-6 * max(1.0, np.abs(floor).max(initial=0.0)):
+            raise DegenerateInput(
+                "a cell's value falls below its faces' beyond float dust")
         np.maximum(values[d], floor, out=values[d])
     return tables, values, faces_of
-
-
-def _tiny_tables(points, weights):
-    n = len(points)
-    tables = {0: np.arange(n, dtype=np.int64)[:, None]}
-    values = {0: 0.0 - weights}
-    facets = {}
-    if n == 2:
-        verts = np.array([[0, 1]], dtype=np.int64)
-        _, v = _orthocenters(points, weights, verts)
-        tables[1] = verts
-        values[1] = v
-        facets[1] = verts
-    return tables, values, facets
 
 
 def _build_alpha(cloud: PointCloud, weights) -> Filtration:
@@ -309,17 +298,15 @@ def _build_alpha(cloud: PointCloud, weights) -> Filtration:
     n, dim = points.shape
     _check_duplicates(points)
     info = {}
+    if n == 0:
+        raise DegenerateInput("empty point cloud")
     if n <= 2:
-        if n == 0:
-            raise DegenerateInput("empty point cloud")
-        tables, values, facets = _tiny_tables(points, weights)
-        return _assemble("simplicial", tables, values, facets, info=info)
-
-    if np.linalg.matrix_rank(points - points.mean(axis=0)) < dim:
+        # one or two points are their own top simplex; Qhull needs more
+        top = np.arange(n)[None, :]
+    elif np.linalg.matrix_rank(points - points.mean(axis=0)) < dim:
         raise DegenerateInput(
             "points span a lower-dimensional subspace")
-
-    if (weights == 0).all():
+    elif (weights == 0).all():
         top, info = _top_simplices_unweighted(points)
     else:
         top, info = _top_simplices_weighted(points, weights)

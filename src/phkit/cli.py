@@ -64,11 +64,13 @@ def _signed_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def _build_filtration(input_path, kind, maxdim, max_value, positive_inside):
+    """The filtration of the input, and its point cloud for point kinds."""
     if kind == "pointcloud":
-        return alpha_filtration(read_point_cloud(input_path))
+        cloud = read_point_cloud(input_path)
+        return alpha_filtration(cloud), cloud
     if kind == "pointcloud-weighted":
-        return weighted_alpha_filtration(
-            read_point_cloud(input_path, weighted=True))
+        cloud = read_point_cloud(input_path, weighted=True)
+        return weighted_alpha_filtration(cloud), cloud
     if kind == "distance-matrix":
         if maxdim is None:
             raise click.UsageError(
@@ -76,11 +78,11 @@ def _build_filtration(input_path, kind, maxdim, max_value, positive_inside):
         if max_value is None:
             raise TooLarge("Rips needs --max-value to bound the complex")
         return rips_filtration(read_distance_matrix(input_path), maxdim,
-                               max_value)
+                               max_value), None
     bitmap = read_bitmap(input_path)
     if kind == "binary-bitmap":
         bitmap = distance_transform(bitmap, positive_inside=positive_inside)
-    return cubical_filtration(bitmap)
+    return cubical_filtration(bitmap), None
 
 
 @main.command()
@@ -104,8 +106,8 @@ def _build_filtration(input_path, kind, maxdim, max_value, positive_inside):
 def compute(input_path, kind, maxdim, max_value, squared, positive_inside,
             output):
     """Compute persistence diagrams of INPUT and write a diagram file."""
-    f = _build_filtration(input_path, kind, maxdim, max_value,
-                          positive_inside)
+    f, _ = _build_filtration(input_path, kind, maxdim, max_value,
+                             positive_inside)
     _, diagrams = compute_persistence(f)
     if maxdim is not None:
         diagrams = [pd for pd in diagrams if pd.degree <= maxdim]
@@ -270,9 +272,9 @@ def invert(file, degree, nearest, tighten):
         raise ParseError(0, "metadata must name a known kind and the input "
                          "path, and hold params as a JSON object")
     try:
-        f = _build_filtration(meta["input"], kind, params.get("maxdim"),
-                              params.get("max_value"),
-                              params.get("positive_inside", False))
+        f, cloud = _build_filtration(
+            meta["input"], kind, params.get("maxdim"), params.get("max_value"),
+            params.get("positive_inside", False))
     except FileNotFoundError:
         raise MissingProvenance(
             f"recorded input {meta['input']!r} is gone") from None
@@ -298,9 +300,7 @@ def invert(file, degree, nearest, tighten):
     click.echo(f"cells ({len(cells)}):")
     for cell in cells:
         click.echo(f"  {_cell_text(cell)}")
-    if kind in ("pointcloud", "pointcloud-weighted"):
-        cloud = read_point_cloud(meta["input"],
-                                 weighted=kind == "pointcloud-weighted")
+    if cloud is not None:
         ids = sorted({v for cell in cells for v in cell.vertices})
         click.echo("vertices:")
         for v in ids:

@@ -417,7 +417,7 @@ def _check_monotone(filt: Filtration, bm: BoundaryMatrix):
             f"ordering bug: face {int(bm.indices[k])} not before cell {int(col_of[k])}")
 
 
-def make_filtration(weighted_cells, kind=None) -> Filtration:
+def make_filtration(weighted_cells) -> Filtration:
     """Build a filtration from (cell, value) pairs.
 
     Cells may be Simplex instances, vertex-id tuples, or Cube instances
@@ -428,18 +428,17 @@ def make_filtration(weighted_cells, kind=None) -> Filtration:
     if not items:
         return _assemble("simplicial", {}, {}, {})
     first = items[0][0]
-    if kind is None:
-        kind = "cubical" if isinstance(first, Cube) else "simplicial"
 
     tables: dict[int, list] = {}
     values: dict[int, list] = {}
-    if kind == "simplicial":
+    if not isinstance(first, Cube):
         for cell, v in items:
             s = cell if isinstance(cell, Simplex) else Simplex(cell)
             tables.setdefault(s.dimension, []).append(tuple(s))
             values.setdefault(s.dimension, []).append(float(v))
         tabs = {d: np.array(rows_, dtype=np.int64) for d, rows_ in tables.items()}
-        return _assemble(kind, tabs, values, _lookup_facets(kind, tabs))
+        return _assemble("simplicial", tabs, values,
+                         _lookup_facets("simplicial", tabs))
 
     k = len(first.anchor)
     shape = [0] * k
@@ -454,5 +453,5 @@ def make_filtration(weighted_cells, kind=None) -> Filtration:
         values.setdefault(cell.dimension, []).append(float(v))
     tabs = {d: np.array(rows_, dtype=np.int64) for d, rows_ in tables.items()}
     shape = tuple(shape)
-    return _assemble(kind, tabs, values, _lookup_facets(kind, tabs, shape),
-                     grid_shape=shape)
+    return _assemble("cubical", tabs, values,
+                     _lookup_facets("cubical", tabs, shape), grid_shape=shape)

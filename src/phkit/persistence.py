@@ -9,10 +9,10 @@ The reduction runs in three steps:
    column loop would pair them without a single addition: tau's reduced
    column is its boundary column.
 2. Column loop. Dimensions run from the top down and columns left to right
-   inside each dimension, skipping apparent deaths. With twist=True every
-   birth found in dimension d clears its column in dimension d-1 before
-   that column is reached (Chen and Kerber, "Persistent homology
-   computation with a twist", 2011); twist=False reduces every column.
+   inside each dimension, skipping apparent deaths. Every birth found in
+   dimension d clears its column in dimension d-1 before that column is
+   reached (Chen and Kerber, "Persistent homology computation with a
+   twist", 2011).
    The working column is a Python set, so adding a column is one C-level
    symmetric difference and its low is max().
 3. Diagrams. Pairs are sorted by birth and read off in one vectorized step.
@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from .complexes import (BoundaryMatrix, Filtration, SimplicialComplex,
                         make_filtration)
@@ -210,7 +212,7 @@ def _apparent_pairs(indptr, indices, n):
     return youngest_facet[keep], cols[keep]
 
 
-def _reduce_columns(bm: BoundaryMatrix, dims, *, twist=True, with_v=False):
+def _reduce_columns(bm: BoundaryMatrix, dims, *, with_v=False):
     """Pair the cells; see the module docstring for the three steps.
 
     Returns the reduced columns, pivot_of, chains and the work counters.
@@ -224,8 +226,7 @@ def _reduce_columns(bm: BoundaryMatrix, dims, *, twist=True, with_v=False):
     apparent = np.zeros(n, dtype=bool)
     apparent[tau] = True
     skip = apparent.copy()
-    if twist:
-        skip[sigma] = True
+    skip[sigma] = True
     stored: dict[int, list[int]] = {}
     chains: dict[int, list[int]] | None = None
     if with_v:
@@ -264,8 +265,7 @@ def _reduce_columns(bm: BoundaryMatrix, dims, *, twist=True, with_v=False):
                 additions += 1
             if with_v:
                 chains[j] = sorted(vj)
-        if twist:
-            skip[births] = True
+        skip[births] = True
 
     pivot_of[births] = deaths
     stats = {
@@ -273,14 +273,12 @@ def _reduce_columns(bm: BoundaryMatrix, dims, *, twist=True, with_v=False):
         "columns_reduced": columns_reduced,
         "column_additions": additions,
         # with the twist every birth above dimension 0 is skipped
-        "cleared_columns":
-            int(np.count_nonzero((pivot_of >= 0) & (dims > 0))) if twist else 0,
+        "cleared_columns": int(np.count_nonzero((pivot_of >= 0) & (dims > 0))),
     }
     return _ReducedColumns(stored, apparent, bm), pivot_of, chains, stats
 
 
-def compute_persistence(filtration: Filtration, *, with_v: bool = False,
-                        twist: bool = True):
+def compute_persistence(filtration: Filtration, *, with_v: bool = False):
     """Reduce the filtration's boundary matrix.
 
     Returns (pairing, diagrams) where diagrams is a list indexed by degree
@@ -289,7 +287,7 @@ def compute_persistence(filtration: Filtration, *, with_v: bool = False,
     """
     bm = filtration.boundary_matrix()
     reduced, pivot_of, chains, stats = \
-        _reduce_columns(bm, filtration.dims, twist=twist, with_v=with_v)
+        _reduce_columns(bm, filtration.dims, with_v=with_v)
     pairing = PersistencePairing(filtration=filtration, reduced=reduced,
                                  pivot_of=pivot_of, chains=chains, stats=stats)
     return pairing, _diagrams_from_pairing(filtration, pivot_of)
@@ -418,54 +416,37 @@ def tighten_cycle_1d(pairing: PersistencePairing,
                      cycle: RepresentativeCycle) -> RepresentativeCycle:
     """Shortest cycle through the birth edge inside the birth-time complex.
 
-    Runs a breadth-first search between the endpoints of the birth edge over
-    all edges present at the birth, excluding the birth edge itself. Sets
-    homologous_to_original by reducing the symmetric difference of the two
-    cycles against the recorded death columns of the birth prefix.
+    A breadth-first search joins the endpoints of the birth edge over the
+    edges before it, visiting each vertex's neighbours in filtration order,
+    so ties between equally short loops go by filtration position. Raises
+    ValueError when the endpoints are not joined, that is when the birth
+    edge is not a cycle birth. Sets homologous_to_original by reducing the
+    symmetric difference of the two cycles against the recorded death
+    columns of the birth prefix.
     """
     if cycle.degree != 1:
         raise NotDegreeOne(f"cycle has degree {cycle.degree}")
     f = pairing.filtration
     birth = cycle.birth_index
     bm = f.boundary_matrix()
-    u, v = (int(x) for x in bm.indices[bm.indptr[birth]:bm.indptr[birth + 1]])
+    u, v = bm.column(birth).tolist()
 
-    # adjacency over edges in the birth prefix (positions <= birth)
-    adj: dict[int, list[tuple[int, int]]] = {}
-    edge_positions = np.flatnonzero(f.dims[:birth + 1] == 1)
-    for e in edge_positions:
-        e = int(e)
-        if e == birth:
-            continue
-        a, b = (int(x) for x in bm.indices[bm.indptr[e]:bm.indptr[e + 1]])
-        adj.setdefault(a, []).append((b, e))
-        adj.setdefault(b, []).append((a, e))
-    for nbrs in adj.values():
-        nbrs.sort()
-
-    prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
-    frontier = [u]
-    while frontier and v not in prev:
-        nxt = []
-        for a in frontier:
-            for b, e in adj.get(a, ()):
-                if b not in prev:
-                    prev[b] = (a, e)
-                    nxt.append(b)
-        frontier = nxt
-    if v not in prev:
-        # birth edge is a bridge at birth time; cannot happen for a real
-        # degree-1 birth, but keep the original cycle rather than fail
-        return RepresentativeCycle(1, birth, cycle.death_index,
-                                   list(cycle.cell_indices), f, tightened=True,
-                                   homologous_to_original=True)
-
-    path_edges = [birth]
-    node = v
-    while node != u:
-        node, e = prev[node]
-        path_edges.append(e)
-    tight = sorted(path_edges)
+    # vertex positions are the nodes, edge positions the data; sorted rows
+    # make the search visit neighbours in filtration order
+    edges = np.flatnonzero(f.dims[:birth] == 1)
+    ends = bm.indices[bm.indptr[edges, None] + [0, 1]]
+    graph = csr_array((np.repeat(edges, 2),
+                       (ends.ravel(), ends[:, ::-1].ravel())),
+                      shape=(birth, birth))
+    graph.sort_indices()
+    _, pred = breadth_first_order(graph, u, return_predecessors=True)
+    if pred[v] < 0:
+        raise ValueError(f"edge {birth} joins two components, so it is not "
+                         "a cycle birth")
+    path = [v]
+    while path[-1] != u:
+        path.append(int(pred[path[-1]]))
+    tight = sorted([birth] + graph[path[1:], path[:-1]].tolist())
 
     diff = sorted(set(tight) ^ set(cycle.cell_indices))
     homologous = _is_boundary_in_prefix(pairing, diff, birth)

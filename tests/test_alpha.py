@@ -163,6 +163,32 @@ def test_coplanar_3d_rejected():
         alpha_filtration(pts)
 
 
+def near_duplicate_cloud(seed, shape):
+    """Random cloud whose last point sits 2e-12 from its first: outside the
+    duplicate tolerance, but Qhull drops it, so the build retries with
+    jitter."""
+    pts = np.random.default_rng(seed).random(shape) * 1000
+    pts[-1] = pts[0] + 2e-12
+    return pts
+
+
+def test_near_duplicate_point_is_jittered():
+    for seed in range(20):
+        pts = near_duplicate_cloud(seed, (6, 2))
+        f = alpha_filtration(pts)
+        assert f.info["jittered"] is True
+        assert f.info["jitter"] == float(np.abs(pts).max()) * 10.0 ** -9
+        assert np.count_nonzero(f.dims == 0) == 6
+        pairing, _ = compute_persistence(f)
+        assert 2 * len(pairing.pairs) + len(pairing.essential) == len(f)
+
+
+def test_near_duplicate_point_in_3d_is_degenerate():
+    # the jittered triangulation gives a cell a value below its faces'
+    with pytest.raises(DegenerateInput):
+        alpha_filtration(near_duplicate_cloud(7, (10, 3)))
+
+
 def test_duplicate_points_rejected():
     pts = np.array([[0.0, 0], [1.0, 0], [1.0, 0], [0.0, 1]])
     with pytest.raises(DuplicatePoints) as err:

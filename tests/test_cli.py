@@ -127,6 +127,15 @@ def test_duplicate_points_exit_3(tmp_path):
     assert "DuplicatePoints" in r.stderr
 
 
+def test_jitter_that_breaks_monotonicity_exits_3(tmp_path):
+    pts = np.random.default_rng(7).random((10, 3)) * 1000
+    pts[-1] = pts[0] + 2e-12
+    np.savetxt(tmp_path / "jitter.txt", pts, fmt="%.17g")
+    r = run("compute", "jitter.txt", "--kind", "pointcloud", cwd=tmp_path)
+    assert r.returncode == 3
+    assert "DegenerateInput" in r.stderr
+
+
 def test_distance_matrix_requires_maxdim(tmp_path):
     (tmp_path / "d.csv").write_text("0,1\n1,0\n")
     r = run("compute", "d.csv", "--kind", "distance-matrix",

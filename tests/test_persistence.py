@@ -6,6 +6,7 @@ import pytest
 from phkit import (
     DistanceMatrix,
     PersistenceDiagram,
+    RepresentativeCycle,
     Simplex,
     alpha_filtration,
     betti_numbers,
@@ -18,6 +19,7 @@ from phkit import (
     rips_filtration,
     tighten_cycle_1d,
 )
+from phkit._gf2 import EchelonBasis, column_bitmask
 from phkit.errors import EssentialPair, NotDegreeOne, TooLarge
 
 
@@ -108,16 +110,6 @@ def test_betti_full_tetrahedron():
     b = betti_numbers(c)
     assert b[:3] == [1, 0, 0]
     assert all(x == 0 for x in b[3:])
-
-
-def test_twist_and_plain_reduction_agree():
-    for f in [abstract_tetrahedron_filtration(), square_two_step_filtration()]:
-        p1, d1 = compute_persistence(f, twist=True)
-        p2, d2 = compute_persistence(f, twist=False)
-        assert p1.pairs == p2.pairs
-        assert p1.essential == p2.essential
-        for a, b in zip(d1, d2):
-            assert a.pairs == b.pairs
 
 
 def test_pair_count_conservation():
@@ -287,6 +279,83 @@ def test_tighten_cycle_hexagon():
     assert tight.tightened
 
 
+def reference_tighten(pairing, birth):
+    """Level-by-level search over a Python adjacency dict whose neighbour
+    lists are sorted by position; the engine must return the same loop."""
+    f = pairing.filtration
+    bm = f.boundary_matrix()
+    u, v = bm.column(birth).tolist()
+    adj = {}
+    for e in np.flatnonzero(f.dims[:birth] == 1).tolist():
+        a, b = bm.column(e).tolist()
+        adj.setdefault(a, []).append((b, e))
+        adj.setdefault(b, []).append((a, e))
+    for nbrs in adj.values():
+        nbrs.sort()
+    prev = {u: (-1, -1)}
+    frontier = [u]
+    while frontier and v not in prev:
+        nxt = []
+        for a in frontier:
+            for b, e in adj.get(a, ()):
+                if b not in prev:
+                    prev[b] = (a, e)
+                    nxt.append(b)
+        frontier = nxt
+    path = [birth]
+    node = v
+    while node != u:
+        node, e = prev[node]
+        path.append(e)
+    return sorted(path)
+
+
+def tighten_samples():
+    rng = np.random.default_rng(13)
+    yield alpha_filtration(rng.random((80, 2)))
+    yield alpha_filtration(rng.random((40, 3)))
+    theta = rng.random(40) * 2.0 * np.pi
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    pts += rng.normal(0.0, 0.05, pts.shape)
+    yield rips_filtration(DistanceMatrix.from_points(pts), 2, 0.6)
+    yield cubical_filtration(rng.random((12, 12)))
+
+
+def test_tighten_matches_reference_search():
+    """Same loop as the reference search on every finite degree-1 pair, and
+    homologous_to_original agrees with a rank test over the 2-cells present
+    at the birth."""
+    for f in tighten_samples():
+        pairing, _ = compute_persistence(f)
+        bm = f.boundary_matrix()
+        pairs = [(b, d) for b, d in pairing.pairs if f.dims[b] == 1]
+        assert pairs
+        boundaries = EchelonBasis()
+        triangles = iter(np.flatnonzero(f.dims == 2).tolist() + [len(f)])
+        t = next(triangles)
+        for b, d in pairs:
+            while t <= b:
+                boundaries.insert(column_bitmask(bm.column(t)))
+                t = next(triangles)
+            cyc = representative_cycle(pairing, (b, d))
+            tight = tighten_cycle_1d(pairing, cyc)
+            assert tight.cell_indices == reference_tighten(pairing, b)
+            diff = set(tight.cell_indices) ^ set(cyc.cell_indices)
+            assert tight.homologous_to_original is \
+                (boundaries.reduce(column_bitmask(diff)) == 0)
+
+
+def test_tighten_rejects_an_edge_that_joins_components():
+    f = make_filtration([((0,), 0.0), ((1,), 0.0), ((2,), 0.0),
+                         ((0, 1), 1.0), ((0, 2), 1.0), ((1, 2), 1.0),
+                         ((0, 1, 2), 2.0)])
+    pairing, _ = compute_persistence(f)
+    edge = f.position(1, [0, 1])
+    cyc = RepresentativeCycle(1, edge, None, [edge], f)
+    with pytest.raises(ValueError, match="not a cycle birth"):
+        tighten_cycle_1d(pairing, cyc)
+
+
 def test_tighten_rejects_wrong_degree():
     f = make_filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), 3.0)])
     pairing, _ = compute_persistence(f)
@@ -303,7 +372,7 @@ def test_from_pairs_accepts_iterator_essentials():
 def textbook_reduction(f):
     """Left-to-right reduction of every column with sorted-list XOR.
 
-    No twist, no apparent pairs: the reference the engine must reproduce.
+    No clearing, no apparent pairs: the reference the engine must reproduce.
     """
     bm = f.boundary_matrix()
     owner, reduced, chains = {}, {}, {}
@@ -353,11 +422,10 @@ def cross_check_inputs():
                               bumps=(0.0, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("twist", [True, False])
-def test_reduction_matches_textbook_reference(twist):
+def test_reduction_matches_textbook_reference():
     for f in cross_check_inputs():
         pairs, essential, reduced, chains = textbook_reduction(f)
-        pairing, dgms = compute_persistence(f, twist=twist, with_v=True)
+        pairing, dgms = compute_persistence(f, with_v=True)
         assert pairing.pairs == pairs
         assert [[d.births.tolist(), d.deaths.tolist(), d.birth_index.tolist(),
                  d.death_index.tolist()] for d in dgms] == \
@@ -369,7 +437,7 @@ def test_reduction_matches_textbook_reference(twist):
         assert (pairing.pivot_of == pivot_of).all()
         assert dict(pairing.reduced) == reduced
         # cleared columns are skipped, so they record no chain
-        cleared = {i for i, _ in pairs if f.dims[i] > 0} if twist else set()
+        cleared = {i for i, _ in pairs if f.dims[i] > 0}
         expected = {j for j in range(len(f)) if f.dims[j] > 0} - cleared
         assert set(pairing.chains) == expected
         assert all(pairing.chains[j] == chains[j] for j in expected)
@@ -407,10 +475,6 @@ def test_stats_when_every_pair_is_apparent():
     pairing, _ = compute_persistence(f)
     assert pairing.stats == {"apparent_pairs": 3, "columns_reduced": 0,
                              "column_additions": 0, "cleared_columns": 1}
-    # without clearing, the cycle-creating edge is reduced to zero
-    plain, _ = compute_persistence(f, twist=False)
-    assert plain.stats["columns_reduced"] == 1
-    assert plain.stats["column_additions"] == 2
 
 
 def test_reduced_mapping_contract():
