@@ -16,7 +16,12 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .errors import BadParams, BadRange
+from .errors import BadParams, BadRange, TooLarge
+
+# the Wasserstein distance solves one dense (m+n) x (m+n) float64 assignment
+# problem: at this many points the cost matrix alone takes 8,000**2 * 8 B =
+# 512 MB, and the assignment's time grows with the cube of m+n
+WASSERSTEIN_SIZE_CAP = 8000
 
 
 @dataclass
@@ -217,7 +222,11 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
 
 
 def wasserstein_distance(a, b, q: float = 1.0) -> DiagramDistanceReport:
-    """Minimal (sum of cost^q)^(1/q) over diagonal-augmented matchings."""
+    """Minimal (sum of cost^q)^(1/q) over diagonal-augmented matchings.
+
+    Raises TooLarge when the two diagrams have more than
+    WASSERSTEIN_SIZE_CAP finite points together.
+    """
     if a.degree != b.degree:
         raise ValueError("diagrams compare within one degree")
     q = float(q)
@@ -232,6 +241,10 @@ def wasserstein_distance(a, b, q: float = 1.0) -> DiagramDistanceReport:
     ib = np.flatnonzero(b.finite_mask)
     m, n = len(ab), len(bb)
     size = m + n
+    if size > WASSERSTEIN_SIZE_CAP:
+        raise TooLarge(f"Wasserstein distance accepts at most "
+                       f"{WASSERSTEIN_SIZE_CAP} finite points in the two "
+                       f"diagrams together, got {size}")
     total = 0.0
     for i, j in ess_matches:
         total += abs(float(a.births[i]) - float(b.births[j])) ** q

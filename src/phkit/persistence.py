@@ -1,6 +1,6 @@
 """Z/2 persistent homology by boundary-matrix column reduction.
 
-The reduction runs in three steps:
+The reduction runs in up to four steps:
 
 1. Apparent pairs. A pair (sigma, tau) is apparent when sigma is tau's
    youngest facet and tau is sigma's oldest cofacet (Bauer, "Ripser",
@@ -8,14 +8,31 @@ The reduction runs in three steps:
    matrix finds all of them. No column left of tau contains sigma, so the
    column loop would pair them without a single addition: tau's reduced
    column is its boundary column.
-2. Column loop. Dimensions run from the top down and columns left to right
+2. Coboundary pass, for top-heavy filtrations only. Homology and
+   cohomology have the same pairs (de Silva, Morozov and
+   Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011), so
+   reducing coboundary columns finds which cells are deaths without ever
+   making a top-dimensional cell a column. The columns are the cofacet
+   lists of dimensions 0..D-1, low to high, youngest cell first, with the
+   oldest cofacet as the low; both cells of every apparent pair are
+   skipped, and each dimension's lows are cleared from the next. Every
+   cell above dimension 0 that is not a death is then skipped by the
+   column loop. The pass runs when with_v is off (no chains) and the
+   top dimension D has more cells than dimension D-1, as in Rips and
+   clique filtrations, where the column loop would otherwise reduce each
+   essential top cell to zero. Alpha and cubical filtrations have fewer
+   top cells than cells one dimension down, and there the pass took 7 to
+   40 times as long as the column loop it would save work for.
+3. Column loop. Dimensions run from the top down and columns left to right
    inside each dimension, skipping apparent deaths. Every birth found in
    dimension d clears its column in dimension d-1 before that column is
    reached (Chen and Kerber, "Persistent homology computation with a
    twist", 2011).
    The working column is a Python set, so adding a column is one C-level
-   symmetric difference and its low is max().
-3. Diagrams. Pairs are sorted by birth and read off in one vectorized step.
+   symmetric difference and its low is max(). A death column is reduced
+   exactly as in the textbook reduction, since that never adds a column
+   that reduced to zero, so the reduced columns do not depend on step 2.
+4. Diagrams. Pairs are sorted by birth and read off in one vectorized step.
 
 PersistencePairing.reduced is a read-only mapping: columns the loop
 reduced are stored, and apparent deaths read their boundary column on
@@ -169,8 +186,9 @@ class PersistencePairing:
     columns have none).
 
     stats counts the work: apparent_pairs found before the column loop,
-    columns_reduced by the loop, column_additions it made and
-    cleared_columns it skipped as births of higher-dimensional pairs.
+    columns_reduced and column_additions over the coboundary pass (when it
+    runs) and the column loop together, and cleared_columns: the births
+    above dimension 0, which the column loop skips.
     """
 
     filtration: Filtration
@@ -212,8 +230,59 @@ def _apparent_pairs(indptr, indices, n):
     return youngest_facet[keep], cols[keep]
 
 
+def _coboundary_deaths(indptr, indices, dims, sigma, tau):
+    """The deaths that are not apparent, found by reducing coboundaries.
+
+    Columns are the cofacet lists of the cells of dimensions 0..D-1, from
+    low dimension to high and youngest cell first; a column's low is its
+    oldest cofacet. The cells of the apparent pairs (sigma, tau) are never
+    columns: sigma's column is its raw coboundary, with low tau. The lows
+    found in one dimension are cleared from the next. Returns the lows
+    found, the columns reduced and the additions made.
+    """
+    n = len(dims)
+    # the boundary columns read as rows, so the CSC form lists cofacets
+    cob = csr_array((np.ones(len(indices), dtype=bool), indices, indptr),
+                    shape=(n, n)).tocsc()
+    co_indptr, co_indices = cob.indptr, cob.indices
+    owner = np.full(n, -1, dtype=np.int64)
+    owner[tau] = sigma
+    owner = owner.tolist()
+    paired = np.zeros(n, dtype=bool)
+    paired[sigma] = True
+    paired[tau] = True
+    # reduced columns of the births found, and the apparent births' raw
+    # coboundaries once they are read
+    addends: dict[int, set[int] | list[int]] = {}
+    found: list[int] = []
+    columns = additions = 0
+    for d in range(int(dims.max())):
+        todo = np.flatnonzero((dims == d) & ~paired)[::-1].tolist()
+        columns += len(todo)
+        lows = []
+        for i in todo:
+            col = set(co_indices[co_indptr[i]:co_indptr[i + 1]].tolist())
+            while col:
+                low = min(col)
+                k = owner[low]
+                if k < 0:
+                    owner[low] = i
+                    addends[i] = col
+                    lows.append(low)
+                    break
+                addend = addends.get(k)
+                if addend is None:
+                    addend = co_indices[co_indptr[k]:co_indptr[k + 1]].tolist()
+                    addends[k] = addend
+                col.symmetric_difference_update(addend)
+                additions += 1
+        paired[lows] = True
+        found += lows
+    return found, columns, additions
+
+
 def _reduce_columns(bm: BoundaryMatrix, dims, *, with_v=False):
-    """Pair the cells; see the module docstring for the three steps.
+    """Pair the cells; see the module docstring for the steps.
 
     Returns the reduced columns, pivot_of, chains and the work counters.
     """
@@ -234,6 +303,14 @@ def _reduce_columns(bm: BoundaryMatrix, dims, *, with_v=False):
     births: list[int] = []
     deaths: list[int] = []
     columns_reduced = additions = 0
+    cells_per_dim = np.bincount(dims)
+    if (not with_v and len(cells_per_dim) > 1
+            and cells_per_dim[-1] > cells_per_dim[-2]):
+        # the loop below then reduces death columns only
+        found, columns_reduced, additions = \
+            _coboundary_deaths(indptr, indices, dims, sigma, tau)
+        skip[dims > 0] = True
+        skip[found] = False
 
     for d in range(int(dims.max(initial=0)), 0, -1):
         # Python copies of the apparent columns added in this dimension;

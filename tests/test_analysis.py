@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from phkit import PersistenceDiagram, alpha_filtration, compute_persistence
-from phkit.analysis import (bottleneck_distance, histogram,
-                            persistence_image, wasserstein_distance)
-from phkit.errors import BadParams, BadRange
+from phkit.analysis import (WASSERSTEIN_SIZE_CAP, bottleneck_distance,
+                            histogram, persistence_image,
+                            wasserstein_distance)
+from phkit.errors import BadParams, BadRange, TooLarge
 
 
 def pd_of(pairs, essential=(), degree=1):
@@ -285,3 +286,18 @@ def test_degree_mismatch_rejected():
         bottleneck_distance(pd_of([], degree=1), pd_of([], degree=2))
     with pytest.raises(BadParams):
         wasserstein_distance(pd_of([]), pd_of([]), q=0.5)
+
+
+def test_wasserstein_above_size_cap_is_too_large(monkeypatch):
+    def no_assignment(cost):
+        raise AssertionError("the cost matrix was built past the cap")
+
+    monkeypatch.setattr("phkit.analysis.linear_sum_assignment",
+                        no_assignment)
+    half = WASSERSTEIN_SIZE_CAP // 2
+    births = np.arange(half + 1) / half
+    a = pd_of(list(zip(births, births + 0.5)))
+    b = pd_of(list(zip(births[:half], births[:half] + 0.25)))
+    assert len(a) + len(b) == WASSERSTEIN_SIZE_CAP + 1
+    with pytest.raises(TooLarge, match=f"at most {WASSERSTEIN_SIZE_CAP} "):
+        wasserstein_distance(a, b)

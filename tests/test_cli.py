@@ -239,6 +239,21 @@ def test_distance_between_tetra_and_octa(tmp_path):
     assert float(r.stdout) == pytest.approx(expected, abs=1e-12)
 
 
+def test_wasserstein_past_size_cap_exits_3(tmp_path):
+    # about 2.6 degree-1 pairs per point: compared with itself the file
+    # has more finite points than the Wasserstein size cap
+    pts = np.random.default_rng(0).random((2000, 3))
+    np.savetxt(tmp_path / "cloud.txt", pts)
+    r = run("compute", "cloud.txt", "--kind", "pointcloud", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    pd1 = read_diagram_file(tmp_path / "cloud.diagram.json").diagram(1)
+    assert pd1.finite_mask.sum() > 4000
+    r = run("distance", "cloud.diagram.json", "cloud.diagram.json",
+            "--degree", "1", "--metric", "wasserstein", cwd=tmp_path)
+    assert r.returncode == 3
+    assert "TooLarge" in r.stderr
+
+
 def test_binary_bitmap_ring(tmp_path):
     (tmp_path / "ring.pgm").write_text(
         "P2\n3 3\n1\n1 1 1\n1 0 1\n1 1 1\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from phkit import (
     PersistenceDiagram,
     RepresentativeCycle,
     Simplex,
+    WeightedGraph,
     alpha_filtration,
     betti_numbers,
+    clique_filtration,
     compute_persistence,
     cubical_filtration,
     make_complex,
@@ -444,6 +447,68 @@ def test_reduction_matches_textbook_reference():
         stats = pairing.stats
         assert (stats["apparent_pairs"] + stats["columns_reduced"]
                 + stats["cleared_columns"]) == len(expected) + len(cleared)
+
+
+def random_clique_inputs():
+    """Seeded Rips filtrations of max_dim 1-4, some with rounded (tied)
+    distances, and clique filtrations of random graphs with tied weights."""
+    rng = np.random.default_rng(23)
+    for max_dim in range(1, 5):
+        for max_value in (0.3, 0.6, 2.0):
+            d = DistanceMatrix.from_points(
+                rng.random((int(rng.integers(6, 12)), 2)))
+            yield rips_filtration(d, max_dim, max_value)
+            yield rips_filtration(DistanceMatrix(np.round(d.d, 1)), max_dim,
+                                  max_value)
+    for _ in range(12):
+        n = int(rng.integers(5, 11))
+        edges = [(i, j, float(rng.integers(0, 4)))
+                 for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.6]
+        yield clique_filtration(WeightedGraph(n, edges),
+                                int(rng.integers(1, 5)))
+
+
+def test_default_reduction_matches_textbook_reference():
+    """The with_v=False path, which every CLI call takes. Filtrations with
+    more top-dimension cells than cells one dimension down are paired by
+    coboundary reduction first; the inputs include both kinds."""
+    top_heavy = []
+    for f in itertools.chain(cross_check_inputs(), random_clique_inputs()):
+        pairs, essential, reduced, _ = textbook_reduction(f)
+        pairing, dgms = compute_persistence(f)
+        assert pairing.pairs == pairs
+        assert pairing.essential == essential
+        pivot_of = np.full(len(f), -1)
+        for i, j in pairs:
+            pivot_of[i] = j
+        assert (pairing.pivot_of == pivot_of).all()
+        assert dict(pairing.reduced) == reduced
+        assert [[d.births.tolist(), d.deaths.tolist(), d.birth_index.tolist(),
+                 d.death_index.tolist()] for d in dgms] == \
+            reference_diagrams(f, pairs, essential)
+        if len(f) <= 300:
+            for a, b in zip(dgms, oracle_persistence(f), strict=True):
+                assert multiset(a) == multiset(b)
+        cells_per_dim = np.bincount(f.dims)
+        top_heavy.append(cells_per_dim[-1] > cells_per_dim[-2])
+    assert any(top_heavy) and not all(top_heavy)
+
+
+def test_top_heavy_rips_reduces_no_essential_triangle():
+    """A noisy circle's Rips filtration is mostly essential triangles; the
+    default path pairs it without reducing them."""
+    rng = np.random.default_rng(0)
+    theta = rng.random(60) * 2.0 * np.pi
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    pts += rng.normal(0.0, 0.05, pts.shape)
+    f = rips_filtration(DistanceMatrix.from_points(pts), 2, 0.5)
+    pairing, _ = compute_persistence(f)
+    essential_triangles = np.count_nonzero(f.dims[pairing.essential] == 2)
+    assert pairing.stats["columns_reduced"] < essential_triangles
+    pairing_v, _ = compute_persistence(f, with_v=True)
+    assert pairing.pairs == pairing_v.pairs
+    assert dict(pairing.reduced) == dict(pairing_v.reduced)
 
 
 def brute_force_apparent_pairs(f):
