@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
+# scipy is imported inside the distances: histograms and persistence
+# images, which the CLI's plot and vectorize call, do not need it
 from .errors import BadParams, BadRange, TooLarge
 
 # the Wasserstein distance solves one dense (m+n) x (m+n) float64 assignment
@@ -163,6 +162,9 @@ def _assignment_matching(ia, ib, rows, cols) -> list:
 
 def bottleneck_distance(a, b) -> DiagramDistanceReport:
     """Smallest achievable worst edge over diagonal-augmented matchings."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     if a.degree != b.degree:
         raise ValueError("diagrams compare within one degree")
     ess_cost, ess_matches = _essential_part(a, b)
@@ -227,6 +229,8 @@ def wasserstein_distance(a, b, q: float = 1.0) -> DiagramDistanceReport:
     Raises TooLarge when the two diagrams have more than
     WASSERSTEIN_SIZE_CAP finite points together.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if a.degree != b.degree:
         raise ValueError("diagrams compare within one degree")
     q = float(q)

@@ -15,12 +15,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .alpha import alpha_filtration, weighted_alpha_filtration
 from .analysis import bottleneck_distance, histogram, persistence_image, \
     wasserstein_distance
-from .combinatorial import rips_filtration
 from .complexes import Simplex
-from .cubical import cubical_filtration, distance_transform
 from .errors import (BadDegree, MissingProvenance, NoPairs, ParseError,
                      PHKitError, TooLarge)
 from .fileio import (read_bitmap, read_diagram_file, read_distance_matrix,
@@ -64,14 +61,22 @@ def _signed_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def _build_filtration(input_path, kind, maxdim, max_value, positive_inside):
-    """The filtration of the input, and its point cloud for point kinds."""
+    """The filtration of the input, and its point cloud for point kinds.
+
+    Each branch imports its own builder: the commands that only read a
+    diagram file never load scipy.spatial or scipy.ndimage, and each input
+    kind loads only the module that builds it.
+    """
     if kind == "pointcloud":
+        from .alpha import alpha_filtration
         cloud = read_point_cloud(input_path)
         return alpha_filtration(cloud), cloud
     if kind == "pointcloud-weighted":
+        from .alpha import weighted_alpha_filtration
         cloud = read_point_cloud(input_path, weighted=True)
         return weighted_alpha_filtration(cloud), cloud
     if kind == "distance-matrix":
+        from .combinatorial import rips_filtration
         if maxdim is None:
             raise click.UsageError(
                 "--maxdim is required for distance-matrix input")
@@ -79,6 +84,7 @@ def _build_filtration(input_path, kind, maxdim, max_value, positive_inside):
             raise TooLarge("Rips needs --max-value to bound the complex")
         return rips_filtration(read_distance_matrix(input_path), maxdim,
                                max_value), None
+    from .cubical import cubical_filtration, distance_transform
     bitmap = read_bitmap(input_path)
     if kind == "binary-bitmap":
         bitmap = distance_transform(bitmap, positive_inside=positive_inside)

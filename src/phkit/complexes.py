@@ -146,12 +146,6 @@ class SimplicialComplex:
     def __iter__(self):
         return iter(self._cells)
 
-    def counts_by_dim(self) -> list[int]:
-        out = [0] * (self.max_dim + 1)
-        for c in self._cells:
-            out[c.dimension] += 1
-        return out
-
 
 def make_complex(cells) -> SimplicialComplex:
     """Close the given simplices under faces and return the complex."""
@@ -410,11 +404,6 @@ def _check_monotone(filt: Filtration, bm: BoundaryMatrix):
         i = int(bm.indices[k])
         raise MonotonicityViolation(filt.cell(j), filt.cell(i),
                                     filt.value(j), filt.value(i))
-    # prefix closure: faces must precede their cofaces
-    if (bm.indices >= col_of).any():
-        k = int(np.flatnonzero(bm.indices >= col_of)[0])
-        raise AssertionError(
-            f"ordering bug: face {int(bm.indices[k])} not before cell {int(col_of[k])}")
 
 
 def make_filtration(weighted_cells) -> Filtration:

@@ -4,6 +4,8 @@ Diagram files are single JSON documents with a version field, per-degree
 finite pairs and essential births, optional cell provenance, and the
 metadata needed to redo the computation (input path, kind, parameters).
 Floats survive a write/read round trip bit-exactly via repr formatting.
+Each reader imports its input class when called (alpha and cubical load
+scipy), so reading a diagram file loads no builder module.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ import math
 
 import numpy as np
 
-from .alpha import PointCloud
-from .combinatorial import DistanceMatrix
-from .cubical import Bitmap
 from .errors import ParseError
 from .persistence import PersistenceDiagram
 
@@ -38,6 +37,8 @@ def read_point_cloud(path, weighted: bool = False) -> PointCloud:
     '#' starts a comment, blank lines are skipped; with weighted=True the
     last column is the point's weight.
     """
+    from .alpha import PointCloud
+
     rows = []
     weights = []
     width = None
@@ -81,6 +82,8 @@ def _is_float(token: str) -> bool:
 
 def read_distance_matrix(path) -> DistanceMatrix:
     """CSV matrix, n rows by n columns of decimal floats."""
+    from .combinatorial import DistanceMatrix
+
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -110,7 +113,7 @@ def read_distance_matrix(path) -> DistanceMatrix:
         raise ParseError(0, str(exc)) from None
 
 
-def _read_pgm(data: bytes, path) -> Bitmap:
+def _read_pgm(data: bytes, path) -> np.ndarray:
     # header tokens may be separated by whitespace and '#' comments
     tokens = []
     pos = 0
@@ -158,10 +161,10 @@ def _read_pgm(data: bytes, path) -> Bitmap:
                              f"found {len(raw)}")
         dtype = ">u2" if wide else np.uint8
         vals = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    return Bitmap(vals.reshape(height, width))
+    return vals.reshape(height, width)
 
 
-def _read_ndbitmap(path) -> Bitmap:
+def _read_ndbitmap(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "NDBITMAP v1":
@@ -191,17 +194,19 @@ def _read_ndbitmap(path) -> Bitmap:
     if len(tokens) != count:
         raise ParseError(len(lines),
                          f"expected {count} values, found {len(tokens)}")
-    return Bitmap(np.array(tokens).reshape(extents))
+    return np.array(tokens).reshape(extents)
 
 
 def read_bitmap(path) -> Bitmap:
     """PGM (P2/P5) or NDBITMAP v1, chosen by the file's magic."""
+    from .cubical import Bitmap
+
     with open(path, "rb") as fh:
         head = fh.read(2)
     if head in (b"P2", b"P5"):
         with open(path, "rb") as fh:
-            return _read_pgm(fh.read(), path)
-    return _read_ndbitmap(path)
+            return Bitmap(_read_pgm(fh.read(), path))
+    return Bitmap(_read_ndbitmap(path))
 
 
 def _item_template(shape, indent: int) -> str:

@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order
 
+# scipy is imported inside the functions that call it: reading a diagram
+# file needs PersistenceDiagram, and should not pay for scipy.sparse
 from .complexes import (BoundaryMatrix, Filtration, SimplicialComplex,
                         make_filtration)
 from .errors import EssentialPair, NotDegreeOne
@@ -206,9 +206,6 @@ class PersistencePairing:
     def essential(self) -> list[int]:
         return _read_pairing(self.pivot_of)[2].tolist()
 
-    def degree_of_pair(self, pair) -> int:
-        return int(self.filtration.dims[pair[0]])
-
 
 def _read_pairing(pivot_of):
     """Births ascending, their deaths, and the cells that are neither."""
@@ -240,6 +237,8 @@ def _coboundary_deaths(indptr, indices, dims, sigma, tau):
     found in one dimension are cleared from the next. Returns the lows
     found, the columns reduced and the additions made.
     """
+    from scipy.sparse import csr_array
+
     n = len(dims)
     # the boundary columns read as rows, so the CSC form lists cofacets
     cob = csr_array((np.ones(len(indices), dtype=bool), indices, indptr),
@@ -501,6 +500,9 @@ def tighten_cycle_1d(pairing: PersistencePairing,
     symmetric difference of the two cycles against the recorded death
     columns of the birth prefix.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
+
     if cycle.degree != 1:
         raise NotDegreeOne(f"cycle has degree {cycle.degree}")
     f = pairing.filtration

@@ -292,7 +292,7 @@ def test_wasserstein_above_size_cap_is_too_large(monkeypatch):
     def no_assignment(cost):
         raise AssertionError("the cost matrix was built past the cap")
 
-    monkeypatch.setattr("phkit.analysis.linear_sum_assignment",
+    monkeypatch.setattr("scipy.optimize.linear_sum_assignment",
                         no_assignment)
     half = WASSERSTEIN_SIZE_CAP // 2
     births = np.arange(half + 1) / half

@@ -259,3 +259,34 @@ def test_identity_rows_are_the_cells():
     i = int(edges[3])
     cube = f.cell(i)
     assert f.position(1, [list(cube.anchor), list(cube.extent)]) == i
+
+
+def random_made_filtrations():
+    """make_filtration over shuffled cells, simplicial and cubical, with ties."""
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        top = [rng.choice(9, size=int(rng.integers(1, 5)), replace=False)
+               for _ in range(6)]
+        values = {}
+        for s in sorted(make_complex(top).cells, key=lambda s: s.dimension):
+            values[s] = (max((values[t] for t in s.facets()), default=0.0)
+                         + float(rng.choice([0.0, 0.0, 0.5])))
+        items = list(values.items())
+        rng.shuffle(items)
+        yield make_filtration(items)
+    for shape in [(5, 6), (3, 4, 3)]:
+        f = cubical_filtration(rng.integers(0, 2, shape).astype(float))
+        items = list(zip(f.cells, f.values.tolist()))
+        rng.shuffle(items)
+        yield make_filtration(items)
+
+
+def test_faces_precede_their_cofaces():
+    # _assemble sorts by (value, dimension) and nothing checks the order
+    # at run time: a face's value is at most its coface's, and on a tie
+    # its lower dimension puts it first
+    for f in [*builder_samples(), *random_made_filtrations()]:
+        bm = f.boundary_matrix()
+        col_of = np.repeat(np.arange(len(f)), np.diff(bm.indptr))
+        assert len(bm.indices)
+        assert (bm.indices < col_of).all()
