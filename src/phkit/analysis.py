@@ -5,6 +5,15 @@ pairs must agree in count between the two diagrams (otherwise the distance
 is infinite) and are matched among themselves by sorted birth. Bottleneck
 is solved by binary search over candidate costs with bipartite matching,
 Wasserstein by the Hungarian method on the diagonal-augmented cost matrix.
+
+The bottleneck forms one dense m x n float64 matrix of point-to-point costs
+(8*m*n bytes). It drops every edge dearer than sending both its points to
+the diagonal, and keeps only candidates at or above a lower bound: the
+largest, over all points, of the cheapest edge or diagonal each point could
+take, and the essential cost. That bound is probed first; when it is the
+answer, one matching settles the search. Points enter the matching graph
+in descending persistence, the order in which scipy's Hopcroft-Karp
+finished fastest on the graphs measured.
 """
 
 from __future__ import annotations
@@ -170,20 +179,33 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
     ess_cost, ess_matches = _essential_part(a, b)
     if ess_cost is None:
         return DiagramDistanceReport(float("inf"))
-    ab, ad = _finite_pairs(a)
-    bb, bd = _finite_pairs(b)
-    ia = np.flatnonzero(a.finite_mask)
-    ib = np.flatnonzero(b.finite_mask)
+    # finite points by descending persistence: on degree-0 diagrams, which
+    # come sorted by death, scipy's Hopcroft-Karp ran up to 30 times slower
+    # when the points that can least afford the diagonal came last
+    ia, ib = (np.flatnonzero(pd.finite_mask) for pd in (a, b))
+    ia = ia[np.argsort(a.births[ia] - a.deaths[ia], kind="stable")]
+    ib = ib[np.argsort(b.births[ib] - b.deaths[ib], kind="stable")]
+    ab, ad = a.births[ia], a.deaths[ia]
+    bb, bd = b.births[ib], b.deaths[ib]
     m, n = len(ab), len(bb)
 
     diag_a = (ad - ab) / 2.0
     diag_b = (bd - bb) / 2.0
     cross = _cross_cost(ab, ad, bb, bd)
-    # matching every point to the diagonal costs `upper`, so no larger
-    # candidate can be the answer
-    upper = max(ess_cost, diag_a.max(initial=0.0), diag_b.max(initial=0.0))
-    candidates = np.unique(np.concatenate(
-        [[0.0, ess_cost], diag_a, diag_b, cross[cross <= upper]]))
+    # an edge dearer than sending both its points to the diagonal is never
+    # needed: drop it from the candidates and from every step's graph
+    cross[(cross > diag_a[:, None]) & (cross > diag_b)] = np.inf
+    # every finite point must match something, and every essential its
+    # partner, so no candidate below `lower` can be the answer; `lower` is
+    # itself a diagonal, kept edge or essential cost
+    lower = max(ess_cost,
+                np.minimum(diag_a, cross.min(axis=1, initial=np.inf))
+                .max(initial=0.0),
+                np.minimum(diag_b, cross.min(axis=0, initial=np.inf))
+                .max(initial=0.0))
+    costs = np.concatenate([[ess_cost], diag_a, diag_b,
+                            cross[cross < np.inf]])
+    candidates = np.unique(costs[costs >= lower])
 
     def matching_at(c):
         # left: a-points then the b-points' diagonal projections; right:
@@ -201,22 +223,18 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
         match_r = maximum_bipartite_matching(graph, perm_type="row")
         return int((match_r >= 0).sum()), match_r
 
+    # the largest candidate always works (everything matches the diagonal),
+    # and the lower bound is often the answer, so it is probed first
     lo_i, hi_i = 0, len(candidates) - 1
-    # the largest candidate always works: everything matches the diagonal
-    best = candidates[hi_i]
+    mid = 0
     while lo_i <= hi_i:
-        mid = (lo_i + hi_i) // 2
-        c = candidates[mid]
-        if c < ess_cost:
-            lo_i = mid + 1
-            continue
-        size, match_r = matching_at(c)
+        size, match_r = matching_at(candidates[mid])
         if size == m + n:
-            best = c
-            best_match = match_r
+            best, best_match = candidates[mid], match_r
             hi_i = mid - 1
         else:
             lo_i = mid + 1
+        mid = (lo_i + hi_i) // 2
     # the search always probes its answer, so best_match is perfect there
     matching = ess_matches + _assignment_matching(
         ia, ib, best_match, np.arange(len(best_match)))

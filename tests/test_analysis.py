@@ -301,3 +301,125 @@ def test_wasserstein_above_size_cap_is_too_large(monkeypatch):
     assert len(a) + len(b) == WASSERSTEIN_SIZE_CAP + 1
     with pytest.raises(TooLarge, match=f"at most {WASSERSTEIN_SIZE_CAP} "):
         wasserstein_distance(a, b)
+
+
+def scan_bottleneck(a, b):
+    """Bottleneck by a linear scan of every candidate cost, each tested
+    for a zero-cost assignment on the diagonal-augmented 0/1 matrix."""
+    from scipy.optimize import linear_sum_assignment
+
+    ea, eb = sorted(a.essential_births), sorted(b.essential_births)
+    if len(ea) != len(eb):
+        return np.inf
+    ess = max((abs(x - y) for x, y in zip(ea, eb)), default=0.0)
+    pa, pb = np.array(a.finite_pairs), np.array(b.finite_pairs)
+    m, n = len(pa), len(pb)
+    pa, pb = pa.reshape(m, 2), pb.reshape(n, 2)
+    diag_a = (pa[:, 1] - pa[:, 0]) / 2
+    diag_b = (pb[:, 1] - pb[:, 0]) / 2
+    cross = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2,
+                                                       initial=0.0)
+    for c in np.unique(np.concatenate([[ess], diag_a, diag_b,
+                                       cross.ravel()])):
+        if c < ess:
+            continue
+        blocked = np.ones((m + n, n + m))
+        blocked[:m, :n] = cross > c
+        blocked[:m, n:][np.diag_indices(m)] = diag_a > c
+        blocked[m:, :n][np.diag_indices(n)] = diag_b > c
+        blocked[m:, n:] = 0.0
+        rows, cols = linear_sum_assignment(blocked)
+        if blocked[rows, cols].sum() == 0:
+            return float(c)
+    raise AssertionError("matching everything to the diagonal must work")
+
+
+def grid_diagram(rng, pairs, essentials, degree=1, zero_births=False):
+    births = rng.integers(0, 16, pairs) / 8
+    if zero_births:
+        births[:] = 0.0
+    deaths = births + rng.integers(1, 16, pairs) / 8
+    ess = rng.integers(0, 16, essentials) / 8
+    return pd_of(list(zip(births, deaths)), ess, degree)
+
+
+def test_bottleneck_matches_linear_scan():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(6):
+        k = int(rng.integers(0, 3))
+        cases.append((grid_diagram(rng, rng.integers(20, 41), k),
+                      grid_diagram(rng, rng.integers(20, 41), k)))
+    for _ in range(2):
+        cases.append(tuple(
+            grid_diagram(rng, rng.integers(20, 41), 1, degree=0,
+                         zero_births=True) for _ in range(2)))
+    cases.append((grid_diagram(rng, 30, 2), grid_diagram(rng, 0, 2)))
+    cases.append((grid_diagram(rng, 0, 1), grid_diagram(rng, 0, 1)))
+    cases.append((pd_of([]), pd_of([])))
+    cases.append((grid_diagram(rng, 25, 1), grid_diagram(rng, 25, 2)))
+    for a, b in cases:
+        want = scan_bottleneck(a, b)
+        for x, y in ((a, b), (b, a)):
+            rep = bottleneck_distance(x, y)
+            assert rep.value == want
+            if np.isfinite(want):
+                check_matching_report(x, y, rep)
+
+
+@pytest.fixture
+def matching_calls(monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    calls = []
+    real = csgraph.maximum_bipartite_matching
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "maximum_bipartite_matching", counted)
+    return calls
+
+
+def lower_bound(a, b):
+    """Largest cost that some point must pay whatever it is matched to."""
+    pa, pb = np.array(a.finite_pairs), np.array(b.finite_pairs)
+    cross = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
+    own_a = np.minimum((pa[:, 1] - pa[:, 0]) / 2, cross.min(axis=1))
+    own_b = np.minimum((pb[:, 1] - pb[:, 0]) / 2, cross.min(axis=0))
+    return max(own_a.max(), own_b.max())
+
+
+def test_bottleneck_at_lower_bound_runs_one_matching(matching_calls):
+    # a degree-0 diagram against a jittered copy, as two samples of one
+    # shape give
+    rng = np.random.default_rng(6)
+    deaths = rng.random(30)
+    a = pd_of([(0.0, d) for d in deaths], degree=0)
+    b = pd_of([(0.0, d) for d in deaths + rng.normal(0.0, 0.01, 30)],
+              degree=0)
+    rep = bottleneck_distance(a, b)
+    assert rep.value == lower_bound(a, b) == scan_bottleneck(a, b)
+    assert len(matching_calls) == 1
+    check_matching_report(a, b, rep)
+
+
+def test_bottleneck_above_lower_bound_bisects(matching_calls):
+    a = pd_of([(0.0, 10.0), (0.0, 10.0)])
+    b = pd_of([(0.0, 10.0)])
+    assert lower_bound(a, b) == 0.0
+    rep = bottleneck_distance(a, b)
+    assert rep.value == 5.0
+    assert len(matching_calls) > 1
+    check_matching_report(a, b, rep)
+
+
+def test_bottleneck_prunes_edge_dearer_than_diagonal():
+    # the one cross edge costs 2 > max(0.5, 1.5): both points go to the
+    # diagonal instead
+    a = pd_of([(0.0, 1.0)])
+    b = pd_of([(0.0, 3.0)])
+    rep = bottleneck_distance(a, b)
+    assert rep.value == 1.5 == exhaustive_distance(a, b, "bottleneck")
+    assert sorted(rep.matching, key=str) == [(0, None), (None, 0)]
