@@ -270,6 +270,13 @@ def invert(file, degree, nearest, tighten):
     tb, td = nearest
     _, b, d, k = min(((b - tb) ** 2 + (d - td) ** 2, b, d, k)
                      for k, (b, d) in enumerate(finite))
+    # keep only the chosen pair's cells, so the parsed document is freed
+    # before the filtration is built
+    try:
+        rows = prov["birth_cells"][k], prov["death_cells"][k]
+    except (IndexError, KeyError, TypeError):
+        rows = None
+    del df, pd, finite, prov
 
     kind = meta.get("kind")
     params = meta.get("params", {})
@@ -285,8 +292,8 @@ def invert(file, degree, nearest, tighten):
         raise MissingProvenance(
             f"recorded input {meta['input']!r} is gone") from None
     try:
-        birth = f.position(degree, prov["birth_cells"][k])
-        death = f.position(degree + 1, prov["death_cells"][k])
+        birth = f.position(degree, rows[0])
+        death = f.position(degree + 1, rows[1])
     except (IndexError, KeyError, TypeError, ValueError):
         raise MissingProvenance(
             f"diagram file has no readable cells for pair {k}") from None

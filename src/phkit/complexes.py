@@ -258,14 +258,26 @@ def _row_keys(*tables):
     when that fits in 62 bits; otherwise the keys are ranks among the
     distinct rows.
     """
+    width = tables[0].shape[1]
+    base = max(int(t.max(initial=0)) for t in tables) + 1
+    if base ** width < 1 << 62:
+        packed = []
+        for tab in tables:
+            keys = np.zeros(len(tab), dtype=np.int64)
+            for col in tab.T:
+                keys *= base
+                keys += col
+            packed.append(keys)
+        return packed
     rows = np.concatenate(tables)
-    base = int(rows.max(initial=0)) + 1
-    if base ** rows.shape[1] < 1 << 62:
-        keys = np.zeros(len(rows), dtype=np.int64)
-        for col in rows.T:
-            keys = keys * base + col
-    else:
-        keys = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.lexsort(rows.T[::-1])
+    # a sorted row starts a new run when any column differs from the last
+    starts = np.zeros(len(rows), dtype=bool)
+    for col in rows.T:
+        ordered = col[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    keys = np.empty(len(rows), dtype=np.int64)
+    keys[order] = np.cumsum(starts)
     return np.split(keys, np.cumsum([len(t) for t in tables[:-1]]))
 
 
@@ -320,27 +332,25 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
     of tables_by_dim[d-1] that are the facets of each row of
     tables_by_dim[d], both in the caller's row order.
     """
-    dims_parts, vals_parts, rank_parts = [], [], []
-    clean_tables = {}
+    tables, vals_parts, by_rank = {}, [], []
+    n = 0
     for d in sorted(tables_by_dim):
         tab = np.ascontiguousarray(tables_by_dim[d], dtype=np.int64)
-        vals = np.asarray(values_by_dim[d], dtype=np.float64)
         if len(tab) == 0:
             continue
-        perm = np.lexsort(tab.T[::-1])
-        ordered = tab[perm]
-        dup = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))
+        keys, = _row_keys(tab)
+        perm = np.argsort(keys, kind="stable")
+        dup = np.flatnonzero(np.diff(keys[perm]) == 0)
         if len(dup):
             raise ValueError(
-                f"duplicate cell with identity {tuple(ordered[dup[0]])}")
-        rank = np.empty(len(tab), dtype=np.int64)
-        rank[perm] = np.arange(len(tab))
-        clean_tables[d] = tab
-        dims_parts.append(np.full(len(tab), d, dtype=np.int16))
-        vals_parts.append(vals)
-        rank_parts.append(rank)
+                f"duplicate cell with identity {tuple(tab[perm[dup[0]]])}")
+        tables[d] = tab
+        vals_parts.append(np.asarray(values_by_dim[d], dtype=np.float64))
+        perm += n
+        by_rank.append(perm)
+        n += len(tab)
 
-    if not dims_parts:
+    if not tables:
         empty = BoundaryMatrix(np.zeros(1, dtype=np.int64),
                                np.empty(0, dtype=np.int64))
         return Filtration(kind, np.empty(0, dtype=np.int16),
@@ -348,27 +358,32 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
                           np.empty(0, dtype=np.int64), boundary_matrix=empty,
                           grid_shape=grid_shape, info=info)
 
-    dims_all = np.concatenate(dims_parts)
     vals_all = np.concatenate(vals_parts)
-    rank_all = np.concatenate(rank_parts)
+    del vals_parts
     if not np.isfinite(vals_all).all():
         raise ValueError("filtration values must be finite")
 
-    g = np.lexsort((rank_all, dims_all, vals_all))
-    n = len(g)
+    # cells listed by (dimension, identity); a stable sort by value then
+    # breaks ties the way the ordering contract asks
+    g = np.concatenate(by_rank)
+    del by_rank
+    g = g[np.argsort(vals_all[g], kind="stable")]
+    vals_sorted = vals_all[g]
+    del vals_all
+    sizes = [len(tab) for tab in tables.values()]
+    dims_sorted = np.repeat(np.array(list(tables), dtype=np.int16), sizes)[g]
     position_all = np.empty(n, dtype=np.int64)
     position_all[g] = np.arange(n)
-    dims_sorted = dims_all[g]
-    vals_sorted = vals_all[g]
     final_tables, position = {}, {}
     rows = np.empty(n, dtype=np.int64)
     offset = 0
-    for d, tab in clean_tables.items():
+    for d, tab in tables.items():
         sel = dims_sorted == d
         final_tables[d] = tab[g[sel] - offset]
         rows[sel] = np.arange(len(tab))
         position[d] = position_all[offset:offset + len(tab)]
         offset += len(tab)
+    del g, sel
 
     # column j of cell (d, r) holds the sorted positions of facets[d][r]
     lengths = np.zeros(n + 1, dtype=np.int64)
@@ -376,34 +391,36 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
         if d:
             lengths[position[d] + 1] = facets[d].shape[1]
     indptr = np.cumsum(lengths)
+    del lengths
     indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    # values ascend along the filtration and a face precedes its cofaces
+    # at equal value, so a face sorts after its coface exactly when its
+    # value is larger; the earliest such coface and then its earliest
+    # face are reported
+    late = None
     for d in position:
-        if d:
-            cols = np.sort(position[d - 1][facets[d]], axis=1)
-            indices[indptr[position[d]][:, None]
-                    + np.arange(cols.shape[1])] = cols
+        if not d:
+            continue
+        at = position[d]
+        cols = position[d - 1][facets[d]]
+        cols.sort(axis=1)
+        start = indptr[at]
+        for c in range(cols.shape[1]):
+            indices[start + c] = cols[:, c]
+        bad = np.flatnonzero(cols[:, -1] > at)
+        if len(bad):
+            r = bad[np.argmin(at[bad])]
+            if late is None or at[r] < late[0]:
+                late = int(at[r]), int(cols[r][np.argmax(cols[r] > at[r])])
     bm = BoundaryMatrix(indptr=indptr, indices=indices)
 
     filt = Filtration(kind, dims_sorted, vals_sorted, final_tables, rows,
                       boundary_matrix=bm, grid_shape=grid_shape, info=info)
-    _check_monotone(filt, bm)
-    return filt
-
-
-def _check_monotone(filt: Filtration, bm: BoundaryMatrix):
-    n = len(filt)
-    if not n:
-        return
-    col_of = np.repeat(np.arange(n), np.diff(bm.indptr))
-    face_vals = filt.values[bm.indices]
-    cell_vals = filt.values[col_of]
-    bad = face_vals > cell_vals
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        j = int(col_of[k])
-        i = int(bm.indices[k])
+    if late is not None:
+        j, i = late
         raise MonotonicityViolation(filt.cell(j), filt.cell(i),
                                     filt.value(j), filt.value(i))
+    return filt
 
 
 def make_filtration(weighted_cells) -> Filtration:

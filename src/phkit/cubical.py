@@ -72,34 +72,32 @@ def cubical_filtration(bitmap) -> Filtration:
     for e in extents:
         offset[e] = rows_in_dim[sum(e)]
         rows_in_dim[sum(e)] += math.prod(block_shape[e])
-    tables: dict[int, list] = {}
-    values: dict[int, list] = {}
-    facets: dict[int, list] = {}
+    tables = {d: np.empty((m, 2 * k), dtype=np.int64)
+              for d, m in enumerate(rows_in_dim)}
+    values = {d: np.empty(m) for d, m in enumerate(rows_in_dim)}
+    facets = {d: np.empty((m, 2 * d), dtype=np.int64)
+              for d, m in enumerate(rows_in_dim) if d}
     for extent in extents:
         arr = vals
         for axis in range(k):
             if extent[axis] == 0:
                 arr = _min_pool(arr, axis)
         d = sum(extent)
+        block = slice(offset[extent], offset[extent] + arr.size)
         grid = np.indices(arr.shape)
-        anchors = grid.reshape(k, -1).T
-        ext = np.tile(np.array(extent, dtype=np.int64), (len(anchors), 1))
-        tables.setdefault(d, []).append(np.hstack([anchors, ext]))
-        values.setdefault(d, []).append(arr.ravel())
+        tables[d][block, :k] = grid.reshape(k, -1).T
+        tables[d][block, k:] = extent
+        values[d][block] = arr.ravel()
         # the two facets along an extended axis: same anchor, and one step
         # up that axis, in the block with the axis collapsed
-        ends = []
-        for axis in np.flatnonzero(extent):
+        for slot, axis in enumerate(np.flatnonzero(extent)):
             face = extent[:axis] + (0,) + extent[axis + 1:]
             fshape = block_shape[face]
             lo = offset[face] + np.ravel_multi_index(grid, fshape).ravel()
-            ends += [lo, lo + math.prod(fshape[axis + 1:])]
-        if d:
-            facets.setdefault(d, []).append(np.stack(ends, axis=1))
-    merged_t = {d: np.concatenate(v) for d, v in tables.items()}
-    merged_v = {d: np.concatenate(v) for d, v in values.items()}
-    merged_f = {d: np.concatenate(v) for d, v in facets.items()}
-    return _assemble("cubical", merged_t, merged_v, merged_f, grid_shape=shape)
+            facets[d][block, 2 * slot] = lo
+            lo += math.prod(fshape[axis + 1:])
+            facets[d][block, 2 * slot + 1] = lo
+    return _assemble("cubical", tables, values, facets, grid_shape=shape)
 
 
 def distance_transform(bitmap, positive_inside: bool = False) -> Bitmap:

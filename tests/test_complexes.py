@@ -126,6 +126,44 @@ def test_filtration_duplicate_cell():
         make_filtration([((0,), 0.0), ((0,), 1.0)])
 
 
+@pytest.mark.parametrize("cells, cell, face, message", [
+    # the triangle at 1.0 precedes the late edge (0, 3) at 4.0; of its two
+    # late faces, (0, 2) at 2.0 comes first
+    ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((3,), 5.0), ((0, 3), 4.0),
+      ((1, 2), 3.0), ((0, 2), 2.0), ((0, 1), 0.5), ((0, 1, 2), 1.0)],
+     (0, 1, 2), (0, 2),
+     "cell Simplex(0, 1, 2) has value 1.0 below its face Simplex(0, 2) "
+     "at 2.0"),
+    # three late edges and a late triangle: the middle edge comes first
+    ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((3,), 5.0), ((4,), 3.0),
+      ((5,), 4.5), ((0, 3), 4.0), ((0, 4), 2.0), ((0, 5), 4.2),
+      ((0, 1), 0.5), ((0, 2), 6.0), ((1, 2), 7.0), ((0, 1, 2), 6.5)],
+     (0, 4), (4,),
+     "cell Simplex(0, 4) has value 2.0 below its face Simplex(4,) at 3.0"),
+], ids=["triangle-first", "middle-edge-first"])
+def test_monotonicity_violation_reports_earliest_coface(cells, cell, face,
+                                                        message):
+    # violations in two dimensions: the earliest coface in filtration
+    # order is reported, with its earliest late face
+    with pytest.raises(MonotonicityViolation) as exc:
+        make_filtration(cells)
+    assert exc.value.cell == Simplex(cell)
+    assert exc.value.face == Simplex(face)
+    assert str(exc.value) == message
+
+
+def test_duplicate_cell_names_smallest_repeated_row():
+    # the lowest dimension with a repeat, then its lexicographically
+    # smallest repeated row
+    with pytest.raises(ValueError) as exc:
+        make_filtration([
+            ((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((1, 2), 1.0),
+            ((0, 2), 1.0), ((0, 1), 1.0), ((1, 2), 2.0), ((0, 2), 2.0),
+            ((0, 1, 2), 3.0), ((0, 1, 2), 3.0)])
+    identity = tuple(np.array([0, 2], dtype=np.int64))
+    assert str(exc.value) == f"duplicate cell with identity {identity}"
+
+
 def test_filtration_boundary_columns():
     f = make_filtration([
         ((0,), 0.0), ((1,), 0.0), ((2,), 0.0),
