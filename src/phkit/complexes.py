@@ -343,7 +343,8 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
         dup = np.flatnonzero(np.diff(keys[perm]) == 0)
         if len(dup):
             raise ValueError(
-                f"duplicate cell with identity {tuple(tab[perm[dup[0]]])}")
+                "duplicate cell with identity "
+                f"{tuple(int(x) for x in tab[perm[dup[0]]])}")
         tables[d] = tab
         vals_parts.append(np.asarray(values_by_dim[d], dtype=np.float64))
         perm += n

@@ -1,6 +1,13 @@
 """Z/2 persistent homology by boundary-matrix column reduction.
 
-The reduction runs in up to four steps:
+The reduction runs in up to four steps. Steps 2 and 3 are two passes of
+one kernel, _reduce, the textbook Z/2 column reduction of one dimension's
+columns in order. Its working column is a Python set, so adding a column
+is one C-level symmetric difference. A column is added to until its low
+is free in the pass's owner list, and then takes it, or until it is
+empty. Each call keeps its own cache of the columns it adds, reduced or
+raw, dropped when the dimension ends, as no column of another dimension
+adds them.
 
 1. Apparent pairs. A pair (sigma, tau) is apparent when sigma is tau's
    youngest facet and tau is sigma's oldest cofacet (Bauer, "Ripser",
@@ -13,25 +20,28 @@ The reduction runs in up to four steps:
    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011), so
    reducing coboundary columns finds which cells are deaths without ever
    making a top-dimensional cell a column. The columns are the cofacet
-   lists of dimensions 0..D-1, low to high, youngest cell first, with the
-   oldest cofacet as the low; both cells of every apparent pair are
-   skipped, and each dimension's lows are cleared from the next. Every
-   cell above dimension 0 that is not a death is then skipped by the
-   column loop. The pass runs when with_v is off (no chains) and the
-   top dimension D has more cells than dimension D-1, as in Rips and
+   lists of dimensions 0..D-1 (the CSC form of the boundary matrix), low
+   to high, youngest cell first. The low is the oldest cofacet (min), and
+   the owner list starts with sigma as the owner of each apparent tau.
+   Both cells of every apparent pair are skipped, each dimension's lows
+   are cleared from the next, and its reduced columns are dropped when it
+   ends. Every cell above dimension 0 that is not a death is then skipped
+   by the column loop. The pass runs when with_v is off (no chains) and
+   the top dimension D has more cells than dimension D-1, as in Rips and
    clique filtrations, where the column loop would otherwise reduce each
    essential top cell to zero. Alpha and cubical filtrations have fewer
    top cells than cells one dimension down, and there the pass took 7 to
    40 times as long as the column loop it would save work for.
-3. Column loop. Dimensions run from the top down and columns left to right
-   inside each dimension, skipping apparent deaths. Every birth found in
-   dimension d clears its column in dimension d-1 before that column is
-   reached (Chen and Kerber, "Persistent homology computation with a
-   twist", 2011).
-   The working column is a Python set, so adding a column is one C-level
-   symmetric difference and its low is max(). A death column is reduced
-   exactly as in the textbook reduction, since that never adds a column
-   that reduced to zero, so the reduced columns do not depend on step 2.
+3. Column loop. The columns are boundary columns, the low is the youngest
+   facet (max), and the owner list is the pivot list, which starts with
+   the apparent pairs. Dimensions run from the top down and columns left
+   to right inside each dimension, skipping apparent deaths. Every birth
+   found in dimension d clears its column in dimension d-1 before that
+   column is reached (Chen and Kerber, "Persistent homology computation
+   with a twist", 2011). With with_v each column's chain rides along. A
+   death column is reduced exactly as in the textbook reduction, since
+   that never adds a column that reduced to zero, so the reduced columns
+   do not depend on step 2.
 4. Diagrams. Pairs are sorted by birth and read off in one vectorized step.
 
 PersistencePairing.reduced is a read-only mapping: columns the loop
@@ -227,57 +237,47 @@ def _apparent_pairs(indptr, indices, n):
     return youngest_facet[keep], cols[keep]
 
 
-def _coboundary_deaths(indptr, indices, dims, sigma, tau):
-    """The deaths that are not apparent, found by reducing coboundaries.
+def _reduce(todo, indptr, indices, owner, low_of, reduced=None, chains=None):
+    """Reduce the columns todo in order; see the module docstring.
 
-    Columns are the cofacet lists of the cells of dimensions 0..D-1, from
-    low dimension to high and youngest cell first; a column's low is its
-    oldest cofacet. The cells of the apparent pairs (sigma, tau) are never
-    columns: sigma's column is its raw coboundary, with low tau. The lows
-    found in one dimension are cleared from the next. Returns the lows
-    found, the columns reduced and the additions made.
+    Column j starts as indices[indptr[j]:indptr[j + 1]] and its low is
+    low_of (max or min) of its entries. owner[low] is the column that holds
+    that low, or -1; every owner a column meets is one of todo or an
+    apparent column of the same dimension. A column that takes a free low
+    gets it in owner and, with reduced, its reduced column, sorted, in
+    reduced. With chains, chains[j] is the chain of column j. Returns the
+    lows taken, in order, and the additions made.
     """
-    from scipy.sparse import csr_array
-
-    n = len(dims)
-    # the boundary columns read as rows, so the CSC form lists cofacets
-    cob = csr_array((np.ones(len(indices), dtype=bool), indices, indptr),
-                    shape=(n, n)).tocsc()
-    co_indptr, co_indices = cob.indptr, cob.indices
-    owner = np.full(n, -1, dtype=np.int64)
-    owner[tau] = sigma
-    owner = owner.tolist()
-    paired = np.zeros(n, dtype=bool)
-    paired[sigma] = True
-    paired[tau] = True
-    # reduced columns of the births found, and the apparent births' raw
-    # coboundaries once they are read
+    # the owners' columns once met: reduced ones (sets unless reduced wants
+    # them sorted) and apparent ones raw
     addends: dict[int, set[int] | list[int]] = {}
-    found: list[int] = []
-    columns = additions = 0
-    for d in range(int(dims.max())):
-        todo = np.flatnonzero((dims == d) & ~paired)[::-1].tolist()
-        columns += len(todo)
-        lows = []
-        for i in todo:
-            col = set(co_indices[co_indptr[i]:co_indptr[i + 1]].tolist())
-            while col:
-                low = min(col)
-                k = owner[low]
-                if k < 0:
-                    owner[low] = i
-                    addends[i] = col
-                    lows.append(low)
-                    break
-                addend = addends.get(k)
-                if addend is None:
-                    addend = co_indices[co_indptr[k]:co_indptr[k + 1]].tolist()
-                    addends[k] = addend
-                col.symmetric_difference_update(addend)
-                additions += 1
-        paired[lows] = True
-        found += lows
-    return found, columns, additions
+    lows: list[int] = []
+    additions = 0
+    for j in todo:
+        col = set(indices[indptr[j]:indptr[j + 1]].tolist())
+        vj = None if chains is None else {j}
+        while col:
+            low = low_of(col)
+            k = owner[low]
+            if k < 0:
+                owner[low] = j
+                if reduced is None:
+                    addends[j] = col
+                else:
+                    addends[j] = reduced[j] = sorted(col)
+                lows.append(low)
+                break
+            addend = addends.get(k)
+            if addend is None:
+                addend = indices[indptr[k]:indptr[k + 1]].tolist()
+                addends[k] = addend
+            col.symmetric_difference_update(addend)
+            if vj is not None:
+                vj.symmetric_difference_update(chains[k])
+            additions += 1
+        if vj is not None:
+            chains[j] = sorted(vj)
+    return lows, additions
 
 
 def _reduce_columns(bm: BoundaryMatrix, dims, *, with_v=False):
@@ -299,51 +299,41 @@ def _reduce_columns(bm: BoundaryMatrix, dims, *, with_v=False):
     chains: dict[int, list[int]] | None = None
     if with_v:
         chains = {j: [j] for j in tau.tolist()}
-    births: list[int] = []
-    deaths: list[int] = []
     columns_reduced = additions = 0
     cells_per_dim = np.bincount(dims)
     if (not with_v and len(cells_per_dim) > 1
             and cells_per_dim[-1] > cells_per_dim[-2]):
-        # the loop below then reduces death columns only
-        found, columns_reduced, additions = \
-            _coboundary_deaths(indptr, indices, dims, sigma, tau)
+        from scipy.sparse import csr_array
+
+        # the boundary columns read as rows, so the CSC form lists cofacets
+        cob = csr_array((np.ones(len(indices), dtype=bool), indices, indptr),
+                        shape=(n, n)).tocsc()
+        owner = np.full(n, -1, dtype=np.int64)
+        owner[tau] = sigma
+        owner = owner.tolist()
+        deaths: list[int] = []
+        for d in range(len(cells_per_dim) - 1):
+            todo = np.flatnonzero((dims == d) & ~skip)[::-1].tolist()
+            lows, added = _reduce(todo, cob.indptr, cob.indices, owner, min)
+            columns_reduced += len(todo)
+            additions += added
+            skip[lows] = True
+            deaths += lows
+        # the loop below then reduces these death columns only
         skip[dims > 0] = True
-        skip[found] = False
+        skip[deaths] = False
 
-    for d in range(int(dims.max(initial=0)), 0, -1):
-        # Python copies of the apparent columns added in this dimension;
-        # dropped when it ends, as no lower column can add them.
-        addends: dict[int, list[int]] = {}
+    births: list[int] = []
+    for d in range(len(cells_per_dim) - 1, 0, -1):
         todo = np.flatnonzero((dims == d) & ~skip).tolist()
+        lows, added = _reduce(todo, indptr, indices, pivot, max, stored,
+                              chains)
         columns_reduced += len(todo)
-        for j in todo:
-            col = set(indices[indptr[j]:indptr[j + 1]].tolist())
-            vj = {j} if with_v else None
-            while col:
-                low = max(col)
-                k = pivot[low]
-                if k < 0:
-                    pivot[low] = j
-                    stored[j] = sorted(col)
-                    births.append(low)
-                    deaths.append(j)
-                    break
-                addend = stored.get(k)
-                if addend is None:
-                    addend = addends.get(k)
-                    if addend is None:
-                        addend = indices[indptr[k]:indptr[k + 1]].tolist()
-                        addends[k] = addend
-                col.symmetric_difference_update(addend)
-                if with_v:
-                    vj.symmetric_difference_update(chains[k])
-                additions += 1
-            if with_v:
-                chains[j] = sorted(vj)
-        skip[births] = True
+        additions += added
+        skip[lows] = True
+        births += lows
 
-    pivot_of[births] = deaths
+    pivot_of[births] = [pivot[b] for b in births]
     stats = {
         "apparent_pairs": len(tau),
         "columns_reduced": columns_reduced,

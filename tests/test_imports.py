@@ -39,6 +39,18 @@ print(" ".join(sorted(m for m in ("scipy.ndimage", "scipy.spatial")
                       if m in sys.modules)))
 """
 
+CUBICAL_PERSISTENCE = """
+import sys
+import numpy as np
+import phkit.persistence
+from phkit.cubical import cubical_filtration
+f = cubical_filtration(np.random.default_rng(0).random((4, 4)))
+cells_per_dim = np.bincount(f.dims)
+assert cells_per_dim[-1] < cells_per_dim[-2]
+phkit.persistence.compute_persistence(f)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy.sparse"))))
+"""
+
 STAR_IMPORT = """
 import phkit
 assert phkit.analysis.WASSERSTEIN_SIZE_CAP > 0
@@ -86,6 +98,13 @@ def test_light_commands_load_no_scipy(tmp_path):
     assert json.loads(loaded) == {
         step: [] for step in ["import phkit", "import phkit.cli", "pairs",
                               "plot", "vectorize"]}
+
+
+def test_persistence_without_coboundary_pass_loads_no_scipy_sparse():
+    # only the coboundary pass of top-heavy filtrations needs scipy.sparse
+    r = run_python(CUBICAL_PERSISTENCE)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == ""
 
 
 def test_star_import_binds_every_public_name():

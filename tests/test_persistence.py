@@ -542,6 +542,25 @@ def test_stats_when_every_pair_is_apparent():
                              "column_additions": 0, "cleared_columns": 1}
 
 
+def test_stats_pinned_on_seeded_inputs():
+    """The work counters of a top-heavy Rips filtration (coboundary pass and
+    column loop) and of a cubical one (column loop only)."""
+    rng = np.random.default_rng(0)
+    theta = rng.random(60) * 2.0 * np.pi
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    pts += rng.normal(0.0, 0.05, pts.shape)
+    rips = rips_filtration(DistanceMatrix.from_points(pts), 2, 0.5)
+    cubical = cubical_filtration(np.random.default_rng(0).random((8, 8, 8)))
+    assert np.bincount(rips.dims).tolist() == [60, 265, 515]
+    assert np.bincount(cubical.dims).tolist() == [729, 1944, 1728, 512]
+    assert compute_persistence(rips)[0].stats == {
+        "apparent_pairs": 233, "columns_reduced": 64,
+        "column_additions": 113, "cleared_columns": 205}
+    assert compute_persistence(cubical)[0].stats == {
+        "apparent_pairs": 2219, "columns_reduced": 237,
+        "column_additions": 397, "cleared_columns": 1728}
+
+
 def test_reduced_mapping_contract():
     f = square_with_diagonals()
     pairing, _ = compute_persistence(f)
