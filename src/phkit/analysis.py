@@ -80,6 +80,8 @@ def histogram(pd, value_range, bins: int) -> DiagramHistogram:
     bins = int(bins)
     if not lo < hi:
         raise BadRange(f"empty range [{lo}, {hi}]")
+    if not np.isfinite([lo, hi]).all():
+        raise BadRange(f"range [{lo}, {hi}] must have finite ends")
     if bins < 1:
         raise BadRange("bins must be >= 1")
     births, deaths = _finite_pairs(pd)
@@ -111,6 +113,8 @@ def persistence_image(pd, value_range, bins: int, sigma: float,
     sigma = float(sigma)
     if not lo < hi:
         raise BadParams(f"empty range [{lo}, {hi}]")
+    if not np.isfinite([lo, hi]).all():
+        raise BadParams(f"range [{lo}, {hi}] must have finite ends")
     if bins < 1:
         raise BadParams("bins must be >= 1")
     if not sigma > 0:
@@ -252,8 +256,8 @@ def wasserstein_distance(a, b, q: float = 1.0) -> DiagramDistanceReport:
     if a.degree != b.degree:
         raise ValueError("diagrams compare within one degree")
     q = float(q)
-    if not q >= 1:
-        raise BadParams("q must be >= 1")
+    if not 1 <= q < np.inf:
+        raise BadParams("q must be finite and >= 1")
     ess_cost, ess_matches = _essential_part(a, b)
     if ess_cost is None:
         return DiagramDistanceReport(float("inf"))

@@ -8,16 +8,24 @@ filtration of a complete graph weighted by pairwise distances, truncated
 to edges no longer than a cutoff.
 
 Both reach one builder as edge arrays (i, j, w) sorted by (i, j), i < j.
-It makes each dimension in one numpy step: the cliques one dimension down
-gain each neighbour above their last vertex that the sorted edge keys
-i*n + j show adjacent to every earlier vertex.
+It makes each dimension in one numpy step, in lexicographic order: row r
+of the d-table is a parent row p of the (d-1)-table plus a neighbour v
+above p's last vertex, and the rows come in ascending key p*n + v. A
+facet of s = (t_0..t_{d-1}, v) is either p (drop v) or, dropping t_k, the
+parent's own facet without t_k extended by v, so its row is found by
+searching the key of that pair among the sorted keys one table down. The
+facet that drops t_{d-1} exists exactly when v is adjacent to every
+earlier vertex, so that one search is also the clique test. A simplex's
+value is the largest of p's value, that facet's value and the weight of
+the edge (t_{d-1}, v), which together cover all of its edges. The builder
+hands these facets to _assemble, so no facet is looked up by identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Filtration, _assemble, _lookup_facets
+from .complexes import Filtration, _assemble
 from .errors import BadParams
 
 
@@ -105,25 +113,33 @@ def _cliques(n, i, j, w, max_dim) -> Filtration:
     if max_dim < 0:
         raise BadParams("max_dim must be >= 0")
     start = np.searchsorted(i, np.arange(n + 1))  # CSR offsets of i
-    keys = np.append(i * n + j, n * n)  # ascending; no query equals n*n
     w = w + 0.0  # -0.0 becomes +0.0, as np.maximum(0.0, -0.0) is -0.0
     tab, val = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
-    tables, values = {0: tab}, {0: val}
+    tables, values, facets = {0: tab}, {0: val}, {}
     for d in range(1, max_dim + 1):
         lo = start[tab[:, -1]]
         count = start[tab[:, -1] + 1] - lo
         parent = np.repeat(np.arange(len(tab)), count)
         edge = np.arange(len(parent)) + (lo + count - np.cumsum(count))[parent]
-        v, new_val = j[edge], np.maximum(val[parent], w[edge])
-        for col in tab.T[:-1]:
-            q = col[parent] * n + v
+        v = j[edge]
+        # column k of fac holds the facet without vertex k
+        if d == 1:
+            fac, new_val = np.column_stack([v, parent]), w[edge]
+        else:
+            # the facet without the parent's last vertex exists exactly
+            # when v is adjacent to every earlier vertex
+            q = fac[parent, -1] * n + v
             pos = np.searchsorted(keys, q)
             ok = keys[pos] == q
-            parent, v = parent[ok], v[ok]
-            new_val = np.maximum(new_val[ok], w[pos[ok]])
+            parent, v, edge, pos = parent[ok], v[ok], edge[ok], pos[ok]
+            new_val = np.maximum(np.maximum(val[parent], val[pos]), w[edge])
+            rest = np.searchsorted(keys, fac[parent, :-1] * n + v[:, None])
+            fac = np.column_stack([rest, pos, parent])
         if not len(parent):
             break
+        # ascending: rows are made in (parent, v) order; no query equals
+        # the sentinel
+        keys = np.append(parent * n + v, np.iinfo(np.int64).max)
         tab, val = np.column_stack([tab[parent], v]), new_val
-        tables[d], values[d] = tab, val
-    return _assemble("simplicial", tables, values,
-                     _lookup_facets("simplicial", tables))
+        tables[d], values[d], facets[d] = tab, val, fac
+    return _assemble("simplicial", tables, values, facets)

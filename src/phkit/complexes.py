@@ -13,10 +13,11 @@ of the resulting sequence is closed under faces.
 
 Builders hand _assemble each cell's facets as row indices into the table
 one dimension down (alpha keeps them from its face enumeration, cubical
-computes them from the grid), and _assemble only permutes them into
-filtration order. Cells that arrive without facets, from make_filtration
-and clique filtrations, get them from _lookup_facets, which finds each
-facet by identity and reports the first absent one as MissingFace.
+computes them from the grid, cliques from the keys of their enumeration),
+and _assemble only permutes them into filtration order. Cells given to
+make_filtration arrive without facets and get them from _lookup_facets,
+which finds each facet by identity and reports the first absent one as
+MissingFace.
 """
 
 from __future__ import annotations
@@ -284,9 +285,10 @@ def _row_keys(*tables):
 def _lookup_facets(kind, tables, grid_shape=None):
     """Facet rows of every cell, found by identity in the table below it.
 
-    Serves cells that arrive without their facets (make_filtration and
-    clique filtrations). Returns {d: (m_d, f_d) rows of tables[d-1]} and
-    raises MissingFace for the first cell with an absent facet.
+    Serves make_filtration, whose cells arrive without their facets; every
+    builder hands over its own. Returns {d: (m_d, f_d) rows of
+    tables[d-1]} and raises MissingFace for the first cell with an absent
+    facet.
     """
     facets = {}
     for d in sorted(tables):

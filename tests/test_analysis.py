@@ -95,6 +95,18 @@ def test_histogram_empty_and_errors():
         histogram(pd_of([]), (0.0, 1.0), 0)
 
 
+@pytest.mark.parametrize("window", [(-np.inf, 1.0), (0.0, np.inf),
+                                    (-np.inf, np.inf)])
+def test_infinite_window_rejected(window):
+    # an infinite end makes the bin width infinite and every bin index
+    # and image value NaN
+    pd = pd_of([(0.1, 0.4), (0.2, 0.9)])
+    with pytest.raises(BadRange, match="finite ends"):
+        histogram(pd, window, 4)
+    with pytest.raises(BadParams, match="finite ends"):
+        persistence_image(pd, window, 2, sigma=0.1)
+
+
 def test_image_empty_is_zero():
     img = persistence_image(pd_of([]), (0, 1), 8, sigma=0.1)
     assert img.vector.shape == (64,)
@@ -286,6 +298,14 @@ def test_degree_mismatch_rejected():
         bottleneck_distance(pd_of([], degree=1), pd_of([], degree=2))
     with pytest.raises(BadParams):
         wasserstein_distance(pd_of([]), pd_of([]), q=0.5)
+
+
+@pytest.mark.parametrize("q", [np.inf, np.nan])
+def test_wasserstein_rejects_non_finite_q(q):
+    # at q = inf, cost**q and then total**(1/q) would give 1.0 for these
+    a, b = pd_of([(0.1, 0.4)]), pd_of([(0.2, 0.9)])
+    with pytest.raises(BadParams, match="finite"):
+        wasserstein_distance(a, b, q=q)
 
 
 def test_wasserstein_above_size_cap_is_too_large(monkeypatch):

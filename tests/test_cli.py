@@ -199,6 +199,22 @@ def test_plot_bad_range_exits_3(tetra_dir):
     assert "BadRange" in r.stderr
 
 
+@pytest.mark.parametrize("args, error", [
+    (("plot", "--range", "-inf", "1", "-o", "x.svg"), "BadRange"),
+    (("vectorize", "--range", "0", "inf", "--bins", "2"), "BadParams"),
+    (("distance", "tetra.diagram.json", "--metric", "wasserstein", "--q",
+      "inf"), "BadParams"),
+], ids=["plot-range", "vectorize-range", "wasserstein-q"])
+def test_non_finite_parameter_exits_3(tetra_dir, args, error):
+    # an infinite window or exponent is a usage error, not a traceback or
+    # a NaN or wrong number on stdout
+    r = run(args[0], "tetra.diagram.json", *args[1:], "--degree", "1",
+            cwd=tetra_dir)
+    assert r.returncode == 3, r.stderr
+    assert error in r.stderr
+    assert r.stdout == ""
+
+
 def test_vectorize_stdout_row(tetra_dir):
     r = run("vectorize", "tetra.diagram.json", "--degree", "1",
             cwd=tetra_dir)

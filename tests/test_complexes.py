@@ -8,8 +8,10 @@ from phkit import (
     DistanceMatrix,
     Simplex,
     SimplicialComplex,
+    WeightedGraph,
     alpha_filtration,
     boundary,
+    clique_filtration,
     compute_persistence,
     cubical_filtration,
     make_complex,
@@ -17,6 +19,8 @@ from phkit import (
     rips_filtration,
     weighted_alpha_filtration,
 )
+import phkit.combinatorial
+import phkit.complexes
 from phkit.complexes import _assemble, _lookup_facets, _row_keys
 from phkit.errors import MissingFace, MonotonicityViolation
 
@@ -256,6 +260,31 @@ def builder_samples():
     yield alpha_filtration(rng.random((2, 2)))
     yield rips_filtration(DistanceMatrix.from_points(rng.random((25, 2))), 3,
                           0.5)
+    yield from clique_samples(rng)
+
+
+def clique_samples(rng):
+    """Clique filtrations whose facets come from the clique enumeration."""
+    for max_dim in range(1, 6):
+        n = 12
+        edges = [(a, b, float(rng.choice([0.0, rng.random()])))
+                 for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < 0.7]
+        yield clique_filtration(WeightedGraph(n, edges), max_dim)
+    # K6 with tied integer weights fills every dimension up to 5
+    yield clique_filtration(WeightedGraph(
+        6, [(a, b, float((a + b) % 3)) for a in range(6)
+            for b in range(a + 1, 6)]), 5)
+    # a 4-clique and a path: the enumeration stops after dimension 3
+    stops = clique_filtration(WeightedGraph(
+        7, [(a, b, 1.0 + a) for a in range(4) for b in range(a + 1, 4)]
+        + [(3, 4, 0.5), (4, 5, 2.0)]), 5)
+    assert stops.max_dim == 3
+    yield stops
+    # vertices 0, 5 and 8 have no edges
+    yield clique_filtration(WeightedGraph(
+        9, [(1, 2, 0.3), (2, 3, 0.1), (1, 3, 0.2), (4, 6, 0.4),
+            (6, 7, 0.4)]), 3)
 
 
 def test_builder_facets_match_lookup():
@@ -272,6 +301,22 @@ def test_builder_facets_match_lookup():
                               f.boundary_matrix().indptr)
         assert np.array_equal(g.boundary_matrix().indices,
                               f.boundary_matrix().indices)
+
+
+def test_builders_look_up_no_facets(monkeypatch):
+    # only make_filtration needs facets found by identity; the clique
+    # builder hands over the ones its enumeration already knows
+    def fail(*args, **kwargs):
+        raise AssertionError("_lookup_facets called")
+
+    monkeypatch.setattr(phkit.complexes, "_lookup_facets", fail)
+    monkeypatch.setattr(phkit.combinatorial, "_lookup_facets", fail,
+                        raising=False)
+    rng = np.random.default_rng(8)
+    f = rips_filtration(DistanceMatrix.from_points(rng.random((30, 2))), 3,
+                        0.6)
+    assert f.max_dim == 3
+    assert sum(g.max_dim for g in clique_samples(rng)) > 0
 
 
 def test_position_finds_every_identity_row():
