@@ -31,6 +31,13 @@ from .errors import BadParams, BadRange, TooLarge
 # 512 MB, and the assignment's time grows with the cube of m+n
 WASSERSTEIN_SIZE_CAP = 8000
 
+# the bottleneck distance holds several arrays of m*n entries at once: the
+# cost matrix, the kept costs, their filtered copy, np.unique's sort and a
+# probe's edge lists. With every edge kept and probes over nearly all of
+# them, the traced peak was 90 B per entry at 500 and at 1,500 points per
+# side, so this cap (5,000 x 5,000) allows about 2.3 GB
+BOTTLENECK_SIZE_CAP = 25_000_000
+
 
 @dataclass
 class DiagramHistogram:
@@ -174,7 +181,11 @@ def _assignment_matching(ia, ib, rows, cols) -> list:
 
 
 def bottleneck_distance(a, b) -> DiagramDistanceReport:
-    """Smallest achievable worst edge over diagonal-augmented matchings."""
+    """Smallest achievable worst edge over diagonal-augmented matchings.
+
+    Raises TooLarge when m*n, the product of the two diagrams' numbers of
+    finite points, passes BOTTLENECK_SIZE_CAP.
+    """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -192,6 +203,10 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
     ab, ad = a.births[ia], a.deaths[ia]
     bb, bd = b.births[ib], b.deaths[ib]
     m, n = len(ab), len(bb)
+    if m * n > BOTTLENECK_SIZE_CAP:
+        raise TooLarge(f"bottleneck distance accepts at most "
+                       f"{BOTTLENECK_SIZE_CAP} point pairs (finite points "
+                       f"of one diagram times the other's), got {m} x {n}")
 
     diag_a = (ad - ab) / 2.0
     diag_b = (bd - bb) / 2.0

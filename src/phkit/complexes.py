@@ -188,13 +188,12 @@ class Filtration:
     """
 
     def __init__(self, kind, dims, values, tables, rows, *, boundary_matrix,
-                 grid_shape=None, info=None):
+                 info=None):
         self.kind = kind
         self.dims = dims
         self.values = values
         self._tables = tables
         self._rows = rows
-        self.grid_shape = grid_shape
         self.info = info or {}
         self._bm = boundary_matrix
         for a in (dims, values, rows):
@@ -211,8 +210,7 @@ class Filtration:
         return float(self.values[i])
 
     def cell(self, i: int):
-        return _cell(self.kind, self.identity_rows(int(self.dims[i]), i),
-                     self.grid_shape)
+        return _cell(self.kind, self.identity_rows(int(self.dims[i]), i))
 
     def identity_rows(self, d: int, positions) -> np.ndarray:
         """Vertex ids, or anchor then extent, of the d-cells at positions."""
@@ -243,11 +241,11 @@ class Filtration:
                 f"max_dim={self.max_dim})")
 
 
-def _cell(kind, row, grid_shape):
+def _cell(kind, row):
     """The Simplex or Cube an identity row stands for."""
     if kind == "simplicial":
         return Simplex(row)
-    k = len(grid_shape)
+    k = len(row) // 2
     return Cube(row[:k], row[k:])
 
 
@@ -282,7 +280,7 @@ def _row_keys(*tables):
     return np.split(keys, np.cumsum([len(t) for t in tables[:-1]]))
 
 
-def _lookup_facets(kind, tables, grid_shape=None):
+def _lookup_facets(kind, tables):
     """Facet rows of every cell, found by identity in the table below it.
 
     Serves make_filtration, whose cells arrive without their facets; every
@@ -301,7 +299,7 @@ def _lookup_facets(kind, tables, grid_shape=None):
         else:
             # collapse each extended axis to its two ends; slots stay grouped
             # per cell, lo before hi
-            k = len(grid_shape)
+            k = tab.shape[1] // 2
             rows_f, axes_f = np.nonzero(tab[:, k:])
             ordinal = np.arange(len(rows_f)) - rows_f * d
             ids = np.repeat(tab, 2 * d, axis=0)
@@ -318,13 +316,13 @@ def _lookup_facets(kind, tables, grid_shape=None):
         per_cell = len(ids) // len(tab)
         if not found.all():
             bad = int(np.argmin(found))
-            raise MissingFace(_cell(kind, tab[bad // per_cell], grid_shape),
-                              _cell(kind, ids[bad], grid_shape))
+            raise MissingFace(_cell(kind, tab[bad // per_cell]),
+                              _cell(kind, ids[bad]))
         facets[d] = order[pos].reshape(-1, per_cell)
     return facets
 
 
-def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
+def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
               info=None) -> Filtration:
     """Sort cells into filtration order, build the boundary matrix, validate.
 
@@ -359,7 +357,7 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
         return Filtration(kind, np.empty(0, dtype=np.int16),
                           np.empty(0, dtype=np.float64), {},
                           np.empty(0, dtype=np.int64), boundary_matrix=empty,
-                          grid_shape=grid_shape, info=info)
+                          info=info)
 
     vals_all = np.concatenate(vals_parts)
     del vals_parts
@@ -418,7 +416,7 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *, grid_shape=None,
     bm = BoundaryMatrix(indptr=indptr, indices=indices)
 
     filt = Filtration(kind, dims_sorted, vals_sorted, final_tables, rows,
-                      boundary_matrix=bm, grid_shape=grid_shape, info=info)
+                      boundary_matrix=bm, info=info)
     if late is not None:
         j, i = late
         raise MonotonicityViolation(filt.cell(j), filt.cell(i),
@@ -434,33 +432,19 @@ def make_filtration(weighted_cells) -> Filtration:
     MonotonicityViolation when a face carries a larger value than a coface.
     """
     items = list(weighted_cells)
-    if not items:
-        return _assemble("simplicial", {}, {}, {})
-    first = items[0][0]
-
+    first = items[0][0] if items else None
+    kind = "cubical" if isinstance(first, Cube) else "simplicial"
     tables: dict[int, list] = {}
     values: dict[int, list] = {}
-    if not isinstance(first, Cube):
-        for cell, v in items:
-            s = cell if isinstance(cell, Simplex) else Simplex(cell)
-            tables.setdefault(s.dimension, []).append(tuple(s))
-            values.setdefault(s.dimension, []).append(float(v))
-        tabs = {d: np.array(rows_, dtype=np.int64) for d, rows_ in tables.items()}
-        return _assemble("simplicial", tabs, values,
-                         _lookup_facets("simplicial", tabs))
-
-    k = len(first.anchor)
-    shape = [0] * k
     for cell, v in items:
-        if not isinstance(cell, Cube):
+        if kind == "simplicial":
+            cell = cell if isinstance(cell, Simplex) else Simplex(cell)
+        elif not isinstance(cell, Cube):
             raise TypeError("cubical filtrations take Cube cells")
-        if len(cell.anchor) != k:
+        elif len(cell.anchor) != len(first.anchor):
             raise ValueError("mixed cube ranks")
-        for a in range(k):
-            shape[a] = max(shape[a], cell.anchor[a] + cell.extent[a])
-        tables.setdefault(cell.dimension, []).append(cell.identity())
+        tables.setdefault(cell.dimension, []).append(
+            cell.identity() if kind == "cubical" else cell)
         values.setdefault(cell.dimension, []).append(float(v))
-    tabs = {d: np.array(rows_, dtype=np.int64) for d, rows_ in tables.items()}
-    shape = tuple(shape)
-    return _assemble("cubical", tabs, values,
-                     _lookup_facets("cubical", tabs, shape), grid_shape=shape)
+    tabs = {d: np.array(rows, dtype=np.int64) for d, rows in tables.items()}
+    return _assemble(kind, tabs, values, _lookup_facets(kind, tabs))

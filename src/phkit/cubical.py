@@ -97,7 +97,7 @@ def cubical_filtration(bitmap) -> Filtration:
             facets[d][block, 2 * slot] = lo
             lo += math.prod(fshape[axis + 1:])
             facets[d][block, 2 * slot + 1] = lo
-    return _assemble("cubical", tables, values, facets, grid_shape=shape)
+    return _assemble("cubical", tables, values, facets)
 
 
 def distance_transform(bitmap, positive_inside: bool = False) -> Bitmap:

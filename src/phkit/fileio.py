@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -22,13 +23,27 @@ DIAGRAM_FORMAT = "phkit-diagram"
 DIAGRAM_VERSION = 1
 
 
-def _tokenized_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            body = raw.split("#", 1)[0].strip()
-            if not body:
-                continue
-            yield lineno, body.split()
+def _number_rows(lines, sep=None):
+    """(line number, floats) of each non-blank line, split at sep.
+
+    Raises ParseError at the first token float() rejects.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        row = []
+        for token in line.split(sep):
+            try:
+                row.append(float(token))
+            except ValueError:
+                raise ParseError(lineno,
+                                 f"bad number {token.strip()!r}") from None
+        yield lineno, row
+
+
+def _check_width(lineno, row, width):
+    if len(row) != width:
+        raise ParseError(lineno, f"expected {width} columns, found {len(row)}")
 
 
 def read_point_cloud(path, weighted: bool = False) -> PointCloud:
@@ -39,110 +54,72 @@ def read_point_cloud(path, weighted: bool = False) -> PointCloud:
     """
     from .alpha import PointCloud
 
+    min_cols = 3 if weighted else 2
     rows = []
-    weights = []
-    width = None
-    for lineno, tokens in _tokenized_lines(path):
-        try:
-            vals = [float(t) for t in tokens]
-        except ValueError:
-            bad = next(t for t in tokens if not _is_float(t))
-            raise ParseError(lineno, f"bad number {bad!r}") from None
-        if width is None:
-            width = len(vals)
-            min_cols = 3 if weighted else 2
-            if not min_cols <= width <= min_cols + 1:
+    with open(path, "r", encoding="utf-8") as fh:
+        # widths are checked as lines are read: a ragged line is reported
+        # before a bad number further down
+        for lineno, row in _number_rows(ln.split("#", 1)[0] for ln in fh):
+            if rows:
+                _check_width(lineno, row, len(rows[0]))
+            elif not min_cols <= len(row) <= min_cols + 1:
                 raise ParseError(lineno,
                                  f"expected {min_cols} or {min_cols + 1} "
-                                 f"columns, found {width}")
-        elif len(vals) != width:
-            raise ParseError(lineno,
-                             f"expected {width} columns, found {len(vals)}")
-        if weighted:
-            rows.append(vals[:-1])
-            weights.append(vals[-1])
-        else:
-            rows.append(vals)
+                                 f"columns, found {len(row)}")
+            rows.append(row)
     if not rows:
         raise ParseError(0, "no points in file")
     pts = np.array(rows)
     try:
-        return PointCloud(pts, np.array(weights) if weighted else None)
+        if weighted:
+            return PointCloud(pts[:, :-1], pts[:, -1])
+        return PointCloud(pts)
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def read_distance_matrix(path) -> DistanceMatrix:
     """CSV matrix, n rows by n columns of decimal floats."""
     from .combinatorial import DistanceMatrix
 
-    rows = []
+    # every row is parsed before any width is checked: a bad number is
+    # reported before a jagged row above it
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            body = raw.strip()
-            if not body:
-                continue
-            cells = [c.strip() for c in body.split(",")]
-            vals = []
-            for c in cells:
-                if not _is_float(c):
-                    raise ParseError(lineno, f"bad number {c!r}")
-                vals.append(float(c))
-            rows.append((lineno, vals))
+        rows = list(_number_rows(fh, ","))
     if not rows:
         raise ParseError(0, "empty matrix file")
     n = len(rows[0][1])
-    for lineno, vals in rows:
-        if len(vals) != n:
-            raise ParseError(lineno,
-                             f"expected {n} columns, found {len(vals)}")
+    for lineno, row in rows:
+        _check_width(lineno, row, n)
     if len(rows) != n:
         raise ParseError(rows[-1][0],
                          f"expected {n} rows, found {len(rows)}")
     try:
-        return DistanceMatrix(np.array([vals for _, vals in rows]))
+        return DistanceMatrix(np.array([row for _, row in rows]))
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
 
 
-def _read_pgm(data: bytes, path) -> np.ndarray:
-    # header tokens may be separated by whitespace and '#' comments
-    tokens = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            pos = data.find(b"\n", pos)
-            if pos < 0:
-                break
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < len(data) and not data[end:end + 1].isspace():
-            end += 1
-        tokens.append(data[pos:end])
-        pos = end
-    if len(tokens) < 4:
+# four header tokens, each after whitespace and '#' comments that end in a
+# newline; a token starts with no '#' and runs to whitespace, so a match
+# can neither split a token nor read an unterminated comment as one
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)(?!\S)" * 4)
+
+
+def _read_pgm(data: bytes) -> np.ndarray:
+    header = _PGM_HEADER.match(data)
+    if header is None:
         raise ParseError(1, "truncated PGM header")
-    magic = tokens[0].decode("ascii", "replace")
+    magic, *sizes = header.groups()
+    pos = header.end()
     try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
+        width, height, maxval = map(int, sizes)
     except ValueError:
         raise ParseError(1, "bad PGM header") from None
     if width <= 0 or height <= 0 or maxval <= 0:
         raise ParseError(1, "bad PGM dimensions")
     count = width * height
-    if magic == "P2":
+    if magic == b"P2":
         body = data[pos:].split()
         if len(body) != count:
             raise ParseError(1, f"expected {count} pixels, "
@@ -164,37 +141,32 @@ def _read_pgm(data: bytes, path) -> np.ndarray:
     return vals.reshape(height, width)
 
 
-def _read_ndbitmap(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _read_ndbitmap(lines) -> np.ndarray:
     if not lines or lines[0].strip() != "NDBITMAP v1":
         raise ParseError(1, "missing NDBITMAP v1 magic")
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines)
-            if ln.strip() and i > 0]
-    if len(body) < 2:
+    # the rank and extents lines are the first two non-blank after the magic
+    head = [i for i in range(1, len(lines)) if lines[i].strip()][:2]
+    if len(head) < 2:
         raise ParseError(len(lines), "truncated bitmap")
+    rank_at, ext_at = head
     try:
-        rank = int(body[0][1])
+        rank = int(lines[rank_at])
     except ValueError:
-        raise ParseError(body[0][0], "bad rank") from None
-    ext_line, ext_text = body[1]
+        raise ParseError(rank_at + 1, "bad rank") from None
     try:
-        extents = [int(t) for t in ext_text.split()]
+        extents = [int(t) for t in lines[ext_at].split()]
     except ValueError:
-        raise ParseError(ext_line, "bad extents") from None
+        raise ParseError(ext_at + 1, "bad extents") from None
     if len(extents) != rank or any(e <= 0 for e in extents):
-        raise ParseError(ext_line, f"expected {rank} positive extents")
-    tokens = []
-    for lineno, text in body[2:]:
-        for t in text.split():
-            if not _is_float(t):
-                raise ParseError(lineno, f"bad number {t!r}")
-            tokens.append(float(t))
+        raise ParseError(ext_at + 1, f"expected {rank} positive extents")
+    # the header lines are blanked so that the values keep their line numbers
+    values = [v for _, row in _number_rows(
+        [""] * (ext_at + 1) + lines[ext_at + 1:]) for v in row]
     count = int(np.prod(extents))
-    if len(tokens) != count:
+    if len(values) != count:
         raise ParseError(len(lines),
-                         f"expected {count} values, found {len(tokens)}")
-    return np.array(tokens).reshape(extents)
+                         f"expected {count} values, found {len(values)}")
+    return np.array(values).reshape(extents)
 
 
 def read_bitmap(path) -> Bitmap:
@@ -202,11 +174,10 @@ def read_bitmap(path) -> Bitmap:
     from .cubical import Bitmap
 
     with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head in (b"P2", b"P5"):
-        with open(path, "rb") as fh:
-            return Bitmap(_read_pgm(fh.read(), path))
-    return Bitmap(_read_ndbitmap(path))
+        data = fh.read()
+    if data[:2] in (b"P2", b"P5"):
+        return Bitmap(_read_pgm(data))
+    return Bitmap(_read_ndbitmap(data.decode("utf-8").splitlines()))
 
 
 def _item_template(shape, indent: int) -> str:
@@ -251,8 +222,8 @@ def _cells(f, d, positions) -> np.ndarray:
 
 
 def write_diagram_file(path, diagrams, *, kind, squared, input_path,
-                       params=None, with_provenance=True):
-    """Serialize diagrams (optionally with birth/death cells) as JSON.
+                       params=None):
+    """Serialize diagrams as JSON, with birth/death cells when they are known.
 
     The bytes are those of json.dump(doc, fh, indent=1) plus a newline:
     the header and the degree keys go through json.dumps, and the arrays
@@ -285,8 +256,7 @@ def write_diagram_file(path, diagrams, *, kind, squared, input_path,
                 np.column_stack((births[finite], deaths[finite])), 3))
             fh.write(',\n   "essential": ' + _json_array(births[~finite], 3))
             f = pd.filtration
-            if (with_provenance and pd.birth_index is not None
-                    and f is not None):
+            if pd.birth_index is not None and f is not None:
                 d = pd.degree
                 fh.write(',\n   "provenance": {\n    "birth_cells": '
                          + _json_array(_cells(f, d, pd.birth_index[finite]),

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from phkit import PersistenceDiagram, alpha_filtration, compute_persistence
-from phkit.analysis import (WASSERSTEIN_SIZE_CAP, bottleneck_distance,
-                            histogram, persistence_image,
-                            wasserstein_distance)
+from phkit.analysis import (BOTTLENECK_SIZE_CAP, WASSERSTEIN_SIZE_CAP,
+                            bottleneck_distance, histogram,
+                            persistence_image, wasserstein_distance)
 from phkit.errors import BadParams, BadRange, TooLarge
 
 
@@ -321,6 +321,19 @@ def test_wasserstein_above_size_cap_is_too_large(monkeypatch):
     assert len(a) + len(b) == WASSERSTEIN_SIZE_CAP + 1
     with pytest.raises(TooLarge, match=f"at most {WASSERSTEIN_SIZE_CAP} "):
         wasserstein_distance(a, b)
+
+
+def test_bottleneck_above_size_cap_is_too_large(monkeypatch):
+    def no_cross_cost(*args):
+        raise AssertionError("the cost matrix was built past the cap")
+
+    monkeypatch.setattr("phkit.analysis._cross_cost", no_cross_cost)
+    births = np.arange(60_000) / 60_000
+    a = PersistenceDiagram(1, births, births + 0.5)
+    b = PersistenceDiagram(1, births, births + 0.25)
+    assert len(a) * len(b) > BOTTLENECK_SIZE_CAP
+    with pytest.raises(TooLarge, match=f"at most {BOTTLENECK_SIZE_CAP} "):
+        bottleneck_distance(a, b)
 
 
 def scan_bottleneck(a, b):

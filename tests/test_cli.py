@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import phkit
-from phkit import read_diagram_file, write_diagram_file, \
-    compute_persistence, alpha_filtration, PointCloud
+from phkit import PersistenceDiagram, read_diagram_file, write_diagram_file
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 TETRA_TXT = "\n".join(
@@ -118,6 +117,35 @@ def test_parse_error_exits_2_with_line(tmp_path):
     r = run("compute", "bad.txt", "--kind", "pointcloud", cwd=tmp_path)
     assert r.returncode == 2
     assert "line 2" in r.stderr
+
+
+@pytest.mark.parametrize("kind, data, extra, line", [
+    ("pointcloud", b"0 0 0\n1 2\n", [], 2),
+    ("pointcloud-weighted", b"0 0 0 1\n0 x 0 1\n", [], 2),
+    ("distance-matrix", b"0,1\n1,x\n", ["--maxdim", "1", "--max-value", "2"],
+     2),
+    ("bitmap", b"P2\n2 1\n255\n1 x\n", [], 1),
+    ("bitmap", b"NDBITMAP v1\n2\n2 y\n", [], 3),
+    ("binary-bitmap", b"NDBITMAP v1\n1\n3\n1 0 q\n", [], 4),
+], ids=["pointcloud", "weighted", "distance-matrix", "pgm", "ndbitmap",
+        "binary-bitmap"])
+def test_each_input_kind_parse_error_exits_2(tmp_path, kind, data, extra,
+                                             line):
+    (tmp_path / "bad.in").write_bytes(data)
+    r = run("compute", "bad.in", "--kind", kind, *extra, cwd=tmp_path)
+    assert r.returncode == 2
+    assert f"error: line {line}: " in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    (tmp_path / "tetra.txt").write_text(TETRA_TXT)
+    r = run("compute", "tetra.txt", "--kind", "pointcloud", "-o",
+            "missing_dir/out.json", cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "missing_dir").exists()
 
 
 def test_duplicate_points_exit_3(tmp_path):
@@ -270,6 +298,18 @@ def test_wasserstein_past_size_cap_exits_3(tmp_path):
     assert "TooLarge" in r.stderr
 
 
+def test_bottleneck_past_size_cap_exits_3(tmp_path):
+    births = np.arange(60_000) / 60_000
+    for name, length in (("a.json", 0.5), ("b.json", 0.25)):
+        write_diagram_file(
+            tmp_path / name,
+            [PersistenceDiagram(1, births, births + length)],
+            kind="pointcloud", squared=False, input_path="x.txt")
+    r = run("distance", "a.json", "b.json", "--degree", "1", cwd=tmp_path)
+    assert r.returncode == 3
+    assert "TooLarge" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_binary_bitmap_ring(tmp_path):
     (tmp_path / "ring.pgm").write_text(
         "P2\n3 3\n1\n1 1 1\n1 0 1\n1 1 1\n")
@@ -354,13 +394,11 @@ def test_invert_rips(tmp_path):
 
 
 def test_invert_without_provenance_exits_3(tmp_path):
+    # diagrams built from bare pairs carry no cells, so the file has none
     (tmp_path / "tetra.txt").write_text(TETRA_TXT)
-    cloud = PointCloud(np.array(
-        [[float(t) for t in ln.split()] for ln in TETRA_TXT.splitlines()]))
-    _, diagrams = compute_persistence(alpha_filtration(cloud))
+    diagrams = [PersistenceDiagram.from_pairs(1, [(0.25, 1 / 3)] * 3)]
     write_diagram_file(tmp_path / "bare.json", diagrams, kind="pointcloud",
-                       squared=True, input_path="tetra.txt",
-                       with_provenance=False)
+                       squared=True, input_path="tetra.txt")
     r = run("invert", "bare.json", "--degree", "1", "--nearest", "0.25",
             "0.34", cwd=tmp_path)
     assert r.returncode == 3

@@ -167,6 +167,20 @@ def test_duplicate_cell_names_smallest_repeated_row():
     assert str(exc.value) == "duplicate cell with identity (0, 2)"
 
 
+@pytest.mark.parametrize("cells, error, message", [
+    ([((0,), 0.0), ((1,), float("nan"))], ValueError,
+     "filtration values must be finite"),
+    ([(Cube((0,), (0,)), 0.0), ((1,), 0.0)], TypeError,
+     "cubical filtrations take Cube cells"),
+    ([(Cube((0,), (0,)), 0.0), (Cube((0, 0), (0, 0)), 0.0)], ValueError,
+     "mixed cube ranks"),
+], ids=["nan-value", "simplex-among-cubes", "mixed-cube-ranks"])
+def test_make_filtration_rejects(cells, error, message):
+    with pytest.raises(error) as exc:
+        make_filtration(cells)
+    assert str(exc.value) == message
+
+
 def test_filtration_boundary_columns():
     f = make_filtration([
         ((0,), 0.0), ((1,), 0.0), ((2,), 0.0),
@@ -293,8 +307,7 @@ def test_builder_facets_match_lookup():
     for f in builder_samples():
         values = {d: f.values[f.dims == d] for d in f._tables}
         g = _assemble(f.kind, f._tables, values,
-                      _lookup_facets(f.kind, f._tables, f.grid_shape),
-                      grid_shape=f.grid_shape)
+                      _lookup_facets(f.kind, f._tables))
         assert np.array_equal(g.dims, f.dims)
         assert np.array_equal(g.values, f.values)
         assert np.array_equal(g.boundary_matrix().indptr,

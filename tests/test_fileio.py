@@ -152,6 +152,63 @@ def test_unknown_magic(tmp_path):
     assert exc.value.line == 1
 
 
+# case -> (reader, file bytes, line and message of its ParseError); each
+# case pins one check, and the "order" cases which of two faults comes first
+READER_ERRORS = {
+    "cloud-column-count": (read_point_cloud, b"0 0 0 0 0\n1 1 1 1 1\n",
+                           1, "expected 2 or 3 columns, found 5"),
+    "cloud-weighted-column-count": (
+        lambda p: read_point_cloud(p, weighted=True), b"0 0\n",
+        1, "expected 3 or 4 columns, found 2"),
+    "cloud-non-finite": (read_point_cloud, b"0 0 0\n1 inf 0\n",
+                         0, "points must be finite"),
+    "cloud-order-ragged-first": (read_point_cloud, b"0 0 0\n1 2\n1 x 2\n",
+                                 2, "expected 3 columns, found 2"),
+    "csv-bad-number": (read_distance_matrix, b"0, 1\n1 , x \n",
+                       2, "bad number 'x'"),
+    "csv-empty": (read_distance_matrix, b"\n  \n", 0, "empty matrix file"),
+    "csv-row-count": (read_distance_matrix, b"0,1,2\n1,0,1\n\n",
+                      2, "expected 3 rows, found 2"),
+    "csv-order-bad-number-first": (read_distance_matrix,
+                                   b"0,1\n1,0,2\n1,x\n",
+                                   3, "bad number 'x'"),
+    "pgm-truncated-header": (read_bitmap, b"P2\n3 2\n",
+                             1, "truncated PGM header"),
+    "pgm-comment-to-end": (read_bitmap, b"P2 3 2 # 255 0 0 0\r",
+                           1, "truncated PGM header"),
+    "pgm-bad-header": (read_bitmap, b"P2\n3 x\n255\n", 1, "bad PGM header"),
+    "pgm-non-positive-size": (read_bitmap, b"P5\n0 2\n255\n",
+                              1, "bad PGM dimensions"),
+    "pgm-pixel-count": (read_bitmap, b"P2\n2 2\n255\n1 2 3\n",
+                        1, "expected 4 pixels, found 3"),
+    "pgm-bad-pixel": (read_bitmap, b"P2\n2 1\n255\n1 x\n",
+                      1, "bad pixel value"),
+    "ndbitmap-truncated": (read_bitmap, b"NDBITMAP v1\n\n2\n",
+                           3, "truncated bitmap"),
+    "ndbitmap-bad-rank": (read_bitmap, b"NDBITMAP v1\nx\n2 2\n",
+                          2, "bad rank"),
+    "ndbitmap-bad-extents": (read_bitmap, b"NDBITMAP v1\n2\n2 y\n",
+                             3, "bad extents"),
+    "ndbitmap-extent-count": (read_bitmap, b"NDBITMAP v1\n2\n\n2\n1 2\n",
+                              4, "expected 2 positive extents"),
+    "ndbitmap-bad-number": (read_bitmap, b"NDBITMAP v1\n1\n3\n1 2\n\nz\n",
+                            6, "bad number 'z'"),
+    "ndbitmap-value-count": (read_bitmap, b"NDBITMAP v1\n1\n3\n1 2\n\n",
+                             5, "expected 3 values, found 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(READER_ERRORS))
+def test_reader_error_line_and_message(tmp_path, case):
+    reader, data, line, message = READER_ERRORS[case]
+    p = tmp_path / "input"
+    p.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        reader(p)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def tetra_cloud(a=1.0):
     pts = np.array([
         [0, 0, 0],
@@ -274,7 +331,7 @@ def test_provenance_matches_cell_objects(tmp_path):
 
 
 def json_dump_reference(path, diagrams, *, kind, squared, input_path,
-                        params=None, with_provenance=True):
+                        params=None):
     """The diagram file as a json.dump(doc, indent=1) of nested lists."""
     def cells(f, d, positions):
         if not len(positions):
@@ -294,7 +351,7 @@ def json_dump_reference(path, diagrams, *, kind, squared, input_path,
             "essential": [float(b) for b in pd.births[~finite]],
         }
         f = pd.filtration
-        if with_provenance and pd.birth_index is not None and f is not None:
+        if pd.birth_index is not None and f is not None:
             entry["provenance"] = {
                 "birth_cells": cells(f, pd.degree, pd.birth_index[finite]),
                 "death_cells": cells(f, pd.degree + 1,
@@ -370,8 +427,8 @@ WRITER_CASES = {
     "alpha-3d": lambda: (
         _unsquared(_diagrams(alpha_filtration(_cloud(40, 3)))), {}),
     "alpha-3d-no-provenance": lambda: (
-        _diagrams(alpha_filtration(_cloud(40, 3))),
-        {"with_provenance": False}),
+        [PersistenceDiagram(pd.degree, pd.births, pd.deaths)
+         for pd in _diagrams(alpha_filtration(_cloud(40, 3)))], {}),
     "weighted-hidden": lambda: (
         _diagrams(_hidden_point()), {"kind": "pointcloud-weighted"}),
     "weighted-3d": lambda: (
