@@ -132,7 +132,7 @@ def _top_simplices_weighted(points: np.ndarray, weights: np.ndarray):
 
 
 def _solve_rows(gram: np.ndarray, rhs: np.ndarray):
-    """Batched solve of small SPD-ish systems with a singular-row mask."""
+    """Batched solve of k x k systems, k <= 3, with a singular-row mask."""
     k = gram.shape[1]
     diag = np.einsum("mii->mi", gram)
     scale = np.maximum(diag.mean(axis=1), 1e-300) ** k
@@ -151,25 +151,23 @@ def _solve_rows(gram: np.ndarray, rhs: np.ndarray):
         x0 = (d * rhs[:, 0] - b * rhs[:, 1]) / safe
         x1 = (-c * rhs[:, 0] + a * rhs[:, 1]) / safe
         return np.stack([x0, x1], axis=1), bad
-    if k == 3:
-        m = gram
-        c00 = m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1]
-        c01 = m[:, 1, 2] * m[:, 2, 0] - m[:, 1, 0] * m[:, 2, 2]
-        c02 = m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0]
-        det = m[:, 0, 0] * c00 + m[:, 0, 1] * c01 + m[:, 0, 2] * c02
-        bad = np.abs(det) <= 1e-14 * scale
-        safe = np.where(bad, 1.0, det)
-        c10 = m[:, 0, 2] * m[:, 2, 1] - m[:, 0, 1] * m[:, 2, 2]
-        c11 = m[:, 0, 0] * m[:, 2, 2] - m[:, 0, 2] * m[:, 2, 0]
-        c12 = m[:, 0, 1] * m[:, 2, 0] - m[:, 0, 0] * m[:, 2, 1]
-        c20 = m[:, 0, 1] * m[:, 1, 2] - m[:, 0, 2] * m[:, 1, 1]
-        c21 = m[:, 0, 2] * m[:, 1, 0] - m[:, 0, 0] * m[:, 1, 2]
-        c22 = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        x0 = (c00 * rhs[:, 0] + c10 * rhs[:, 1] + c20 * rhs[:, 2]) / safe
-        x1 = (c01 * rhs[:, 0] + c11 * rhs[:, 1] + c21 * rhs[:, 2]) / safe
-        x2 = (c02 * rhs[:, 0] + c12 * rhs[:, 1] + c22 * rhs[:, 2]) / safe
-        return np.stack([x0, x1, x2], axis=1), bad
-    raise ValueError(f"unsupported system size {k}")
+    m = gram
+    c00 = m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1]
+    c01 = m[:, 1, 2] * m[:, 2, 0] - m[:, 1, 0] * m[:, 2, 2]
+    c02 = m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0]
+    det = m[:, 0, 0] * c00 + m[:, 0, 1] * c01 + m[:, 0, 2] * c02
+    bad = np.abs(det) <= 1e-14 * scale
+    safe = np.where(bad, 1.0, det)
+    c10 = m[:, 0, 2] * m[:, 2, 1] - m[:, 0, 1] * m[:, 2, 2]
+    c11 = m[:, 0, 0] * m[:, 2, 2] - m[:, 0, 2] * m[:, 2, 0]
+    c12 = m[:, 0, 1] * m[:, 2, 0] - m[:, 0, 0] * m[:, 2, 1]
+    c20 = m[:, 0, 1] * m[:, 1, 2] - m[:, 0, 2] * m[:, 1, 1]
+    c21 = m[:, 0, 2] * m[:, 1, 0] - m[:, 0, 0] * m[:, 1, 2]
+    c22 = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    x0 = (c00 * rhs[:, 0] + c10 * rhs[:, 1] + c20 * rhs[:, 2]) / safe
+    x1 = (c01 * rhs[:, 0] + c11 * rhs[:, 1] + c21 * rhs[:, 2]) / safe
+    x2 = (c02 * rhs[:, 0] + c12 * rhs[:, 1] + c22 * rhs[:, 2]) / safe
+    return np.stack([x0, x1, x2], axis=1), bad
 
 
 def _orthocenters(points, weights, verts):

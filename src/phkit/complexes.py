@@ -14,10 +14,10 @@ of the resulting sequence is closed under faces.
 Builders hand _assemble each cell's facets as row indices into the table
 one dimension down (alpha keeps them from its face enumeration, cubical
 computes them from the grid, cliques from the keys of their enumeration),
-and _assemble only permutes them into filtration order. Cells given to
-make_filtration arrive without facets and get them from _lookup_facets,
-which finds each facet by identity and reports the first absent one as
-MissingFace.
+and _assemble maps them to filtration positions; the tables stay in the
+builder's row order. Cells given to make_filtration arrive without facets
+and get them from _lookup_facets, which finds each facet by identity and
+reports the first absent one as MissingFace.
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ class Filtration:
     """Cells of a complex in filtration order with their values.
 
     Construct via make_filtration or one of the builders; the constructor
-    arguments are the already-sorted internal tables and their boundary
-    matrix.
+    takes the cells' dimensions and values in filtration order, the
+    builder's identity table per dimension, each cell's row in its table,
+    and the boundary matrix.
     """
 
     def __init__(self, kind, dims, values, tables, rows, *, boundary_matrix,
@@ -223,7 +224,10 @@ class Filtration:
         if table is None or row.shape != table.shape[1:]:
             return -1
         hit = np.flatnonzero((table == row).all(axis=1))
-        return int(np.flatnonzero(self.dims == d)[hit[0]]) if len(hit) else -1
+        if not len(hit):
+            return -1
+        mine = (self.dims == d) & (self._rows == hit[0])
+        return int(np.flatnonzero(mine)[0])
 
     @property
     def cells(self) -> list:
@@ -330,9 +334,10 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
     dimension d); values_by_dim[d] the matching filtration values.
     facets[d], for every d >= 1, is an (m_d, f_d) integer array: the rows
     of tables_by_dim[d-1] that are the facets of each row of
-    tables_by_dim[d], both in the caller's row order.
+    tables_by_dim[d], both in the caller's row order. The filtration keeps
+    the tables in that order and records each cell's row in its table.
     """
-    tables, vals_parts, by_rank = {}, [], []
+    tables, vals_parts, by_rank = {}, [np.empty(0)], [np.empty(0, np.int64)]
     n = 0
     for d in sorted(tables_by_dim):
         tab = np.ascontiguousarray(tables_by_dim[d], dtype=np.int64)
@@ -351,14 +356,6 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
         by_rank.append(perm)
         n += len(tab)
 
-    if not tables:
-        empty = BoundaryMatrix(np.zeros(1, dtype=np.int64),
-                               np.empty(0, dtype=np.int64))
-        return Filtration(kind, np.empty(0, dtype=np.int16),
-                          np.empty(0, dtype=np.float64), {},
-                          np.empty(0, dtype=np.int64), boundary_matrix=empty,
-                          info=info)
-
     vals_all = np.concatenate(vals_parts)
     del vals_parts
     if not np.isfinite(vals_all).all():
@@ -369,22 +366,18 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
     g = np.concatenate(by_rank)
     del by_rank
     g = g[np.argsort(vals_all[g], kind="stable")]
-    vals_sorted = vals_all[g]
+    values = vals_all[g]
     del vals_all
-    sizes = [len(tab) for tab in tables.values()]
-    dims_sorted = np.repeat(np.array(list(tables), dtype=np.int16), sizes)[g]
+    starts = np.cumsum([0] + [len(tab) for tab in tables.values()])
+    dims = np.repeat(np.array(list(tables), dtype=np.int16),
+                     np.diff(starts))[g]
     position_all = np.empty(n, dtype=np.int64)
     position_all[g] = np.arange(n)
-    final_tables, position = {}, {}
-    rows = np.empty(n, dtype=np.int64)
-    offset = 0
-    for d, tab in tables.items():
-        sel = dims_sorted == d
-        final_tables[d] = tab[g[sel] - offset]
-        rows[sel] = np.arange(len(tab))
-        position[d] = position_all[offset:offset + len(tab)]
-        offset += len(tab)
-    del g, sel
+    # g turns into each cell's row in its own table
+    position = {}
+    for d, lo, hi in zip(tables, starts, starts[1:]):
+        g[dims == d] -= lo
+        position[d] = position_all[lo:hi]
 
     # column j of cell (d, r) holds the sorted positions of facets[d][r]
     lengths = np.zeros(n + 1, dtype=np.int64)
@@ -394,31 +387,28 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
     indptr = np.cumsum(lengths)
     del lengths
     indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    for d in position:
+        if d:
+            cols = position[d - 1][facets[d]]
+            cols.sort(axis=1)
+            slots = indptr[position[d]][:, None] + np.arange(cols.shape[1])
+            indices[slots] = cols
+            del cols, slots
+    bm = BoundaryMatrix(indptr=indptr, indices=indices)
+    filt = Filtration(kind, dims, values, tables, g, boundary_matrix=bm,
+                      info=info)
+
     # values ascend along the filtration and a face precedes its cofaces
     # at equal value, so a face sorts after its coface exactly when its
-    # value is larger; the earliest such coface and then its earliest
-    # face are reported
-    late = None
-    for d in position:
-        if not d:
-            continue
-        at = position[d]
-        cols = position[d - 1][facets[d]]
-        cols.sort(axis=1)
-        start = indptr[at]
-        for c in range(cols.shape[1]):
-            indices[start + c] = cols[:, c]
-        bad = np.flatnonzero(cols[:, -1] > at)
-        if len(bad):
-            r = bad[np.argmin(at[bad])]
-            if late is None or at[r] < late[0]:
-                late = int(at[r]), int(cols[r][np.argmax(cols[r] > at[r])])
-    bm = BoundaryMatrix(indptr=indptr, indices=indices)
-
-    filt = Filtration(kind, dims_sorted, vals_sorted, final_tables, rows,
-                      boundary_matrix=bm, info=info)
-    if late is not None:
-        j, i = late
+    # value is larger; every cell above dimension 0 has faces and its
+    # column is sorted, so the earliest column whose last face lies past
+    # it and then its first such face are reported
+    cofaces = np.flatnonzero(dims)
+    late = cofaces[indices[indptr[cofaces + 1] - 1] > cofaces]
+    if len(late):
+        j = int(late[0])
+        col = bm.column(j)
+        i = int(col[np.argmax(col > j)])
         raise MonotonicityViolation(filt.cell(j), filt.cell(i),
                                     filt.value(j), filt.value(i))
     return filt

@@ -163,6 +163,15 @@ def test_coplanar_3d_rejected():
         alpha_filtration(pts)
 
 
+def test_huge_weights_make_the_lift_degenerate():
+    # the lift column, near 1e20, sets matrix_rank's tolerance, so the
+    # planar coordinates no longer count toward the rank
+    rng = np.random.default_rng(0)
+    pts = rng.random((20, 2))
+    with pytest.raises(DegenerateInput, match="affinely degenerate"):
+        weighted_alpha_filtration(pts, rng.random(20) * 1e20)
+
+
 def near_duplicate_cloud(seed, shape):
     """Random cloud whose last point sits 2e-12 from its first: outside the
     duplicate tolerance, but Qhull drops it, so the build retries with

@@ -167,6 +167,8 @@ def test_image_bad_params():
         persistence_image(pd_of([]), (1, 0), 8, sigma=0.1)
     with pytest.raises(BadParams):
         persistence_image(pd_of([]), (0, 1), 8, sigma=0.1, w_max=-1.0)
+    with pytest.raises(BadParams, match="bins"):
+        persistence_image(pd_of([]), (0, 1), 0, sigma=0.1)
 
 
 def test_bottleneck_identical_is_zero():
@@ -296,6 +298,8 @@ def test_bottleneck_thousand_pairs():
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         bottleneck_distance(pd_of([], degree=1), pd_of([], degree=2))
+    with pytest.raises(ValueError, match="one degree"):
+        wasserstein_distance(pd_of([], degree=1), pd_of([], degree=2))
     with pytest.raises(BadParams):
         wasserstein_distance(pd_of([]), pd_of([]), q=0.5)
 

@@ -534,6 +534,24 @@ def test_invert_changed_input_exits_3(tetra_dir):
     assert "no longer reproduces" in r.stderr
 
 
+def test_invert_crossed_cells_exit_3(tetra_dir):
+    # pair 0 names pair 1's death cell: both cells are found in the
+    # rebuilt filtration, but they are not paired with each other
+    path = tetra_dir / "tetra.diagram.json"
+    doc = json.loads(path.read_text())
+    prov = doc["degrees"]["1"]["provenance"]
+    prov["death_cells"][0] = prov["death_cells"][1]
+    path.write_text(json.dumps(doc))
+    f = phkit.alpha_filtration(np.loadtxt(tetra_dir / "tetra.txt"))
+    assert f.position(1, prov["birth_cells"][0]) >= 0
+    assert f.position(2, prov["death_cells"][0]) >= 0
+    r = run("invert", "tetra.diagram.json", "--degree", "1", "--nearest",
+            "0.5", "0.58", cwd=tetra_dir)
+    assert r.returncode == 3, r.stderr
+    assert "MissingProvenance" in r.stderr
+    assert "no longer reproduces" in r.stderr
+
+
 @pytest.mark.parametrize("damage", [
     lambda prov: prov.update(birth_cells=[]),
     lambda prov: prov.pop("death_cells"),

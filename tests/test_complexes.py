@@ -305,7 +305,11 @@ def test_builder_facets_match_lookup():
     # builders hand over the facets they enumerate; finding every facet
     # by identity in the same tables must give the same boundary matrix
     for f in builder_samples():
-        values = {d: f.values[f.dims == d] for d in f._tables}
+        # the tables keep the builder's row order; give each value its row
+        values = {}
+        for d, tab in f._tables.items():
+            values[d] = np.empty(len(tab))
+            values[d][f._rows[f.dims == d]] = f.values[f.dims == d]
         g = _assemble(f.kind, f._tables, values,
                       _lookup_facets(f.kind, f._tables))
         assert np.array_equal(g.dims, f.dims)

@@ -296,8 +296,9 @@ def test_diagram_missing_degree_is_empty(tmp_path):
      "degrees": {"0": [[0.0, 1.0]]}},
     {"format": "phkit-diagram", "version": 1,
      "degrees": {"0": {"pairs": [[0.0]]}}},
+    {"format": "phkit-diagram", "version": 2, "degrees": {}},
 ], ids=["array", "degrees-array", "pairs-null", "metadata-array",
-        "degree-array", "short-pair"])
+        "degree-array", "short-pair", "version-2"])
 def test_diagram_malformed_document(tmp_path, doc):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))

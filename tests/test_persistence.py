@@ -97,6 +97,14 @@ def test_square_two_step_prefix_hole_counts():
     assert counts == [0, 1, 2, 1, 0]
 
 
+def test_betti_prefix_bounds():
+    f = square_two_step_filtration()
+    assert betti_numbers(f, prefix=0) == []
+    for prefix in (-1, len(f) + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            betti_numbers(f, prefix=prefix)
+
+
 def test_betti_tetrahedron_skeleton():
     skel = make_complex([(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert betti_numbers(skel) == [1, 3]
@@ -240,10 +248,14 @@ def test_representative_cycle_degree0():
     assert [tuple(c) for c in cyc.cells] == [(1,)]  # the younger vertex
 
 
-def test_essential_cycle_requires_flag_and_chains():
-    f = make_filtration([
+def triangle_outline():
+    return make_filtration([
         ((0,), 0.0), ((1,), 0.0), ((2,), 0.0),
         ((0, 1), 1.0), ((1, 2), 1.0), ((0, 2), 1.0)])
+
+
+def test_essential_cycle_requires_flag_and_chains():
+    f = triangle_outline()
     pairing, dgms = compute_persistence(f)
     ess = [i for i in pairing.essential if f.dims[i] == 1]
     assert len(ess) == 1
@@ -255,6 +267,23 @@ def test_essential_cycle_requires_flag_and_chains():
     cyc = representative_cycle(pairing_v, (ess[0], None), allow_essential=True)
     cells = {tuple(c) for c in cyc.cells}
     assert cells == {(0, 1), (1, 2), (0, 2)}
+    # a bare index names an essential class; a vertex is its own cycle
+    [v] = [i for i in pairing.essential if f.dims[i] == 0]
+    cyc = representative_cycle(pairing, v, allow_essential=True)
+    assert (cyc.degree, cyc.death_index, cyc.cell_indices) == (0, None, [v])
+
+
+@pytest.mark.parametrize("pick, match", [
+    (lambda pairs: pairs[0][0], "not essential"),
+    (lambda pairs: (pairs[0][0], None), "not essential"),
+    (lambda pairs: (pairs[0][0], pairs[1][1]), "not a pair"),
+], ids=["int-finite-birth", "finite-birth", "crossed-pair"])
+def test_representative_cycle_rejects(pick, match):
+    pairing, _ = compute_persistence(triangle_outline())
+    assert len(pairing.pairs) == 2
+    with pytest.raises(ValueError, match=match):
+        representative_cycle(pairing, pick(pairing.pairs),
+                             allow_essential=True)
 
 
 def hexagon_with_chord():
@@ -370,6 +399,8 @@ def test_tighten_rejects_wrong_degree():
 def test_from_pairs_accepts_iterator_essentials():
     pd = PersistenceDiagram.from_pairs(1, [(0.1, 0.5)], (b for b in [0.2]))
     assert pd.pairs == [(0.1, 0.5), (0.2, math.inf)]
+    with pytest.raises(ValueError, match="no provenance"):
+        pd.provenance(0)
 
 
 def textbook_reduction(f):
