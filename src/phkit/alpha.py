@@ -246,7 +246,7 @@ def _alpha_tables(points, weights, top):
         m = len(arr)
         blocks = [np.delete(arr, i, axis=1) for i in range(d + 1)]
         faces_all = np.concatenate(blocks, axis=0)
-        keys, = _row_keys(faces_all)
+        keys = _row_keys(faces_all)
         _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         tables[d - 1] = faces_all[first]
         faces_of[d] = inv.reshape(d + 1, m).T

@@ -76,6 +76,19 @@ def _finite_pairs(pd):
     return pd.births[mask], pd.deaths[mask]
 
 
+def _window(value_range, bins, error):
+    """(lo, hi, bins) of a square window, or error for a bad one."""
+    lo, hi = float(value_range[0]), float(value_range[1])
+    bins = int(bins)
+    if not lo < hi:
+        raise error(f"empty range [{lo}, {hi}]")
+    if not np.isfinite([lo, hi]).all():
+        raise error(f"range [{lo}, {hi}] must have finite ends")
+    if bins < 1:
+        raise error("bins must be >= 1")
+    return lo, hi, bins
+
+
 def histogram(pd, value_range, bins: int) -> DiagramHistogram:
     """2D histogram of finite pairs over a square (birth, death) window.
 
@@ -83,14 +96,7 @@ def histogram(pd, value_range, bins: int) -> DiagramHistogram:
     pairs with birth in bin i and death in bin j. Finite pairs outside the
     window land in the overflow tally; essential pairs are counted apart.
     """
-    lo, hi = float(value_range[0]), float(value_range[1])
-    bins = int(bins)
-    if not lo < hi:
-        raise BadRange(f"empty range [{lo}, {hi}]")
-    if not np.isfinite([lo, hi]).all():
-        raise BadRange(f"range [{lo}, {hi}] must have finite ends")
-    if bins < 1:
-        raise BadRange("bins must be >= 1")
+    lo, hi, bins = _window(value_range, bins, BadRange)
     births, deaths = _finite_pairs(pd)
     counts = np.zeros((bins, bins), dtype=np.int64)
     inside = (births >= lo) & (births <= hi) & (deaths >= lo) & (deaths <= hi)
@@ -115,15 +121,8 @@ def persistence_image(pd, value_range, bins: int, sigma: float,
     weight ramps linearly in persistence and saturates at w_max (default:
     the window height). The vector lists bins row-major, birth fastest.
     """
-    lo, hi = float(value_range[0]), float(value_range[1])
-    bins = int(bins)
+    lo, hi, bins = _window(value_range, bins, BadParams)
     sigma = float(sigma)
-    if not lo < hi:
-        raise BadParams(f"empty range [{lo}, {hi}]")
-    if not np.isfinite([lo, hi]).all():
-        raise BadParams(f"range [{lo}, {hi}] must have finite ends")
-    if bins < 1:
-        raise BadParams("bins must be >= 1")
     if not sigma > 0:
         raise BadParams("sigma must be positive")
     if w_max is None:
@@ -276,10 +275,9 @@ def wasserstein_distance(a, b, q: float = 1.0) -> DiagramDistanceReport:
     ess_cost, ess_matches = _essential_part(a, b)
     if ess_cost is None:
         return DiagramDistanceReport(float("inf"))
-    ab, ad = _finite_pairs(a)
-    bb, bd = _finite_pairs(b)
-    ia = np.flatnonzero(a.finite_mask)
-    ib = np.flatnonzero(b.finite_mask)
+    ia, ib = (np.flatnonzero(pd.finite_mask) for pd in (a, b))
+    ab, ad = a.births[ia], a.deaths[ia]
+    bb, bd = b.births[ib], b.deaths[ib]
     m, n = len(ab), len(bb)
     size = m + n
     if size > WASSERSTEIN_SIZE_CAP:

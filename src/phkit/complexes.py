@@ -253,35 +253,29 @@ def _cell(kind, row):
     return Cube(row[:k], row[k:])
 
 
-def _row_keys(*tables):
-    """One int64 key per row of each table, in the order of the rows.
+def _row_keys(table):
+    """One int64 key per row of the table, in the order of the rows.
 
-    Rows compare lexicographically and all tables share one key space, so
-    equal rows get equal keys across tables. Columns pack in base max+1
-    when that fits in 62 bits; otherwise the keys are ranks among the
-    distinct rows.
+    Rows compare lexicographically, so equal rows get equal keys. Columns
+    pack in base max+1 when that fits in 62 bits; otherwise the keys are
+    ranks among the distinct rows.
     """
-    width = tables[0].shape[1]
-    base = max(int(t.max(initial=0)) for t in tables) + 1
-    if base ** width < 1 << 62:
-        packed = []
-        for tab in tables:
-            keys = np.zeros(len(tab), dtype=np.int64)
-            for col in tab.T:
-                keys *= base
-                keys += col
-            packed.append(keys)
-        return packed
-    rows = np.concatenate(tables)
-    order = np.lexsort(rows.T[::-1])
+    base = int(table.max(initial=0)) + 1
+    if base ** table.shape[1] < 1 << 62:
+        keys = np.zeros(len(table), dtype=np.int64)
+        for col in table.T:
+            keys *= base
+            keys += col
+        return keys
+    order = np.lexsort(table.T[::-1])
     # a sorted row starts a new run when any column differs from the last
-    starts = np.zeros(len(rows), dtype=bool)
-    for col in rows.T:
+    starts = np.zeros(len(table), dtype=bool)
+    for col in table.T:
         ordered = col[order]
         starts[1:] |= ordered[1:] != ordered[:-1]
-    keys = np.empty(len(rows), dtype=np.int64)
+    keys = np.empty(len(table), dtype=np.int64)
     keys[order] = np.cumsum(starts)
-    return np.split(keys, np.cumsum([len(t) for t in tables[:-1]]))
+    return keys
 
 
 def _lookup_facets(kind, tables):
@@ -312,7 +306,8 @@ def _lookup_facets(kind, tables):
             ids[slot_lo + 1, k + axes_f] = 0
             ids[slot_lo + 1, axes_f] += 1
         target = tables.get(d - 1, np.empty((0, ids.shape[1]), dtype=np.int64))
-        needles, hay = _row_keys(ids, target)
+        keys = _row_keys(np.concatenate([ids, target]))
+        needles, hay = keys[:len(ids)], keys[len(ids):]
         order = np.argsort(hay, kind="stable")
         pos = np.searchsorted(hay, needles, sorter=order)
         found = pos < len(hay)
@@ -343,7 +338,7 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
         tab = np.ascontiguousarray(tables_by_dim[d], dtype=np.int64)
         if len(tab) == 0:
             continue
-        keys, = _row_keys(tab)
+        keys = _row_keys(tab)
         perm = np.argsort(keys, kind="stable")
         dup = np.flatnonzero(np.diff(keys[perm]) == 0)
         if len(dup):

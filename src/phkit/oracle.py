@@ -16,12 +16,51 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._gf2 import EchelonBasis, column_bitmask
 from .complexes import Filtration
 from .errors import TooLarge
 from .persistence import PersistenceDiagram
 
 SIZE_CAP = 300
+
+
+class EchelonBasis:
+    """GF(2) row-echelon basis of int bitmask columns, pivot = highest set bit.
+
+    Bit r of a column set means row r carries a 1; Python's arbitrary
+    precision ints make the oracle's few hundred rows cheap.
+    """
+
+    __slots__ = ("_pivots",)
+
+    def __init__(self):
+        self._pivots: dict[int, int] = {}
+
+    def reduce(self, v: int) -> int:
+        """Reduce v against the basis; the result has no basis pivot set."""
+        piv = self._pivots
+        while v:
+            p = v.bit_length() - 1
+            w = piv.get(p)
+            if w is None:
+                break
+            v ^= w
+        return v
+
+    def insert(self, v: int) -> bool:
+        """Add v to the span. Returns True if it was independent."""
+        v = self.reduce(v)
+        if v == 0:
+            return False
+        self._pivots[v.bit_length() - 1] = v
+        return True
+
+
+def column_bitmask(rows) -> int:
+    """Pack an iterable of row indices into one int."""
+    v = 0
+    for r in rows:
+        v |= 1 << int(r)
+    return v
 
 
 def oracle_persistence(filtration: Filtration) -> list:

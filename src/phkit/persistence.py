@@ -4,7 +4,7 @@ The reduction runs in up to four steps. Steps 2 and 3 are two passes of
 one kernel, _reduce, the textbook Z/2 column reduction of one dimension's
 columns in order. Its working column is a Python set, so adding a column
 is one C-level symmetric difference. A column is added to until its low
-is free in the pass's owner list, and then takes it, or until it is
+is free in the pass's owner array, and then takes it, or until it is
 empty. Each call keeps its own cache of the columns it adds, reduced or
 raw, dropped when the dimension ends, as no column of another dimension
 adds them.
@@ -22,7 +22,7 @@ adds them.
    making a top-dimensional cell a column. The columns are the cofacet
    lists of dimensions 0..D-1 (the CSC form of the boundary matrix), low
    to high, youngest cell first. The low is the oldest cofacet (min), and
-   the owner list starts with sigma as the owner of each apparent tau.
+   the owner array starts with sigma as the owner of each apparent tau.
    Both cells of every apparent pair are skipped, each dimension's lows
    are cleared from the next, and its reduced columns are dropped when it
    ends. Every cell above dimension 0 that is not a death is then skipped
@@ -33,7 +33,7 @@ adds them.
    top cells than cells one dimension down, and there the pass took 7 to
    40 times as long as the column loop it would save work for.
 3. Column loop. The columns are boundary columns, the low is the youngest
-   facet (max), and the owner list is the pivot list, which starts with
+   facet (max), and the owner array is pivot_of itself, which starts with
    the apparent pairs. Dimensions run from the top down and columns left
    to right inside each dimension, skipping apparent deaths. Every birth
    found in dimension d clears its column in dimension d-1 before that
@@ -280,17 +280,20 @@ def _reduce(todo, indptr, indices, owner, low_of, reduced=None, chains=None):
     return lows, additions
 
 
-def _reduce_columns(bm: BoundaryMatrix, dims, *, with_v=False):
-    """Pair the cells; see the module docstring for the steps.
+def compute_persistence(filtration: Filtration, *, with_v: bool = False):
+    """Reduce the filtration's boundary matrix; see the module docstring.
 
-    Returns the reduced columns, pivot_of, chains and the work counters.
+    Returns (pairing, diagrams) where diagrams is a list indexed by degree
+    0..max cell dimension. Pass with_v=True to record the chain columns
+    needed for essential-cycle extraction.
     """
+    bm = filtration.boundary_matrix()
     indptr, indices = bm.indptr, bm.indices
+    dims = filtration.dims
     n = len(dims)
     sigma, tau = _apparent_pairs(indptr, indices, n)
     pivot_of = np.full(n, -1, dtype=np.int64)
     pivot_of[sigma] = tau
-    pivot = pivot_of.tolist()
     apparent = np.zeros(n, dtype=bool)
     apparent[tau] = True
     skip = apparent.copy()
@@ -310,7 +313,6 @@ def _reduce_columns(bm: BoundaryMatrix, dims, *, with_v=False):
                         shape=(n, n)).tocsc()
         owner = np.full(n, -1, dtype=np.int64)
         owner[tau] = sigma
-        owner = owner.tolist()
         deaths: list[int] = []
         for d in range(len(cells_per_dim) - 1):
             todo = np.flatnonzero((dims == d) & ~skip)[::-1].tolist()
@@ -322,18 +324,17 @@ def _reduce_columns(bm: BoundaryMatrix, dims, *, with_v=False):
         # the loop below then reduces these death columns only
         skip[dims > 0] = True
         skip[deaths] = False
+        # neither the column loop nor the diagrams read these
+        del cob, owner, deaths
 
-    births: list[int] = []
     for d in range(len(cells_per_dim) - 1, 0, -1):
         todo = np.flatnonzero((dims == d) & ~skip).tolist()
-        lows, added = _reduce(todo, indptr, indices, pivot, max, stored,
+        lows, added = _reduce(todo, indptr, indices, pivot_of, max, stored,
                               chains)
         columns_reduced += len(todo)
         additions += added
         skip[lows] = True
-        births += lows
 
-    pivot_of[births] = [pivot[b] for b in births]
     stats = {
         "apparent_pairs": len(tau),
         "columns_reduced": columns_reduced,
@@ -341,21 +342,11 @@ def _reduce_columns(bm: BoundaryMatrix, dims, *, with_v=False):
         # with the twist every birth above dimension 0 is skipped
         "cleared_columns": int(np.count_nonzero((pivot_of >= 0) & (dims > 0))),
     }
-    return _ReducedColumns(stored, apparent, bm), pivot_of, chains, stats
-
-
-def compute_persistence(filtration: Filtration, *, with_v: bool = False):
-    """Reduce the filtration's boundary matrix.
-
-    Returns (pairing, diagrams) where diagrams is a list indexed by degree
-    0..max cell dimension. Pass with_v=True to record the chain columns
-    needed for essential-cycle extraction.
-    """
-    bm = filtration.boundary_matrix()
-    reduced, pivot_of, chains, stats = \
-        _reduce_columns(bm, filtration.dims, with_v=with_v)
-    pairing = PersistencePairing(filtration=filtration, reduced=reduced,
-                                 pivot_of=pivot_of, chains=chains, stats=stats)
+    # nor these, and the diagrams' arrays would share the peak with them
+    del sigma, tau, skip
+    pairing = PersistencePairing(
+        filtration=filtration, reduced=_ReducedColumns(stored, apparent, bm),
+        pivot_of=pivot_of, chains=chains, stats=stats)
     return pairing, _diagrams_from_pairing(filtration, pivot_of)
 
 

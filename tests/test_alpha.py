@@ -100,6 +100,11 @@ def test_weighted_two_points():
     vals = values_by_dim(f)
     assert np.allclose(np.sort(vals[0]), [-0.25, 0.0])
     assert np.allclose(vals[1], [9 / 64])
+    # a PointCloud without weights takes them from the call
+    g = weighted_alpha_filtration(PointCloud(pts), [0.0, 0.25])
+    assert np.array_equal(g.values, f.values)
+    with pytest.raises(ValueError, match="needs weights"):
+        weighted_alpha_filtration(PointCloud(pts))
 
 
 def test_equal_weight_shift_identity():
@@ -210,6 +215,8 @@ def test_bad_shapes_rejected():
         PointCloud(np.zeros((3, 4)))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((2, 2)), weights=[1.0])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        PointCloud(np.eye(2), weights=[0.0, np.inf])
     with pytest.raises(DegenerateInput):
         alpha_filtration(np.zeros((0, 2)))
 

@@ -138,6 +138,8 @@ def test_matches_rank_oracle_on_random_rips():
 
 
 def test_graph_validation():
+    with pytest.raises(ValueError, match="vertex count"):
+        WeightedGraph(-1, [])
     with pytest.raises(ValueError):
         WeightedGraph(3, [(1, 0, 1.0)])
     with pytest.raises(ValueError):
@@ -151,6 +153,8 @@ def test_graph_validation():
 
 
 def test_distance_matrix_validation():
+    with pytest.raises(ValueError, match="distances must be finite"):
+        DistanceMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]))
     with pytest.raises(ValueError):
         DistanceMatrix(np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError):

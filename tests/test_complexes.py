@@ -52,6 +52,7 @@ def test_make_complex_closure():
     assert [1, 2] in c
     assert [0] in c
     assert [0, 3] not in c
+    assert [1, 1] not in c
 
 
 def test_make_complex_idempotent():
@@ -84,6 +85,16 @@ def test_cube_facets():
         Cube((2, 3), (0, 1)), Cube((3, 3), (0, 1)),
         Cube((2, 3), (1, 0)), Cube((2, 4), (1, 0))}
     assert boundary(Cube((0, 0), (0, 0))) == set()
+
+
+@pytest.mark.parametrize("anchor, extent, message", [
+    ((0, 0), (1,), "anchor and extent lengths differ"),
+    ((0, 0), (1, 2), "extent entries must be 0 or 1"),
+    ((0, -1), (1, 0), "anchor coordinates must be non-negative"),
+])
+def test_cube_rejects_bad_input(anchor, extent, message):
+    with pytest.raises(ValueError, match=message):
+        Cube(anchor, extent)
 
 
 def test_filtration_ordering_contract():
@@ -234,7 +245,7 @@ def test_row_keys_follow_row_order(offset):
     a = rng.integers(0, 4, (50, 3)) + offset
     b = rng.integers(0, 4, (30, 3)) + offset
     rows = np.concatenate([a, b])
-    keys = np.concatenate(_row_keys(a, b))
+    keys = _row_keys(rows)
     order = np.lexsort(rows.T[::-1])
     assert (np.diff(keys[order]) >= 0).all()
     same_row = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
