@@ -98,8 +98,9 @@ def _top_simplices_unweighted(points: np.ndarray):
         except QhullError as exc:
             raise DegenerateInput(f"triangulation failed: {exc}") from exc
         simplices = np.sort(tri.simplices.astype(np.int64), axis=1)
-        used = np.unique(simplices)
-        if len(tri.coplanar) == 0 and len(used) == n:
+        used = np.zeros(n, dtype=bool)
+        used[simplices] = True
+        if len(tri.coplanar) == 0 and used.all():
             return simplices, info
         magnitude = scale * 10.0 ** (-9 + attempt)
         pts = points + _deterministic_jitter(points.shape, magnitude, attempt)
@@ -125,8 +126,9 @@ def _top_simplices_weighted(points: np.ndarray, weights: np.ndarray):
         raise DegenerateInput(f"lifted hull failed: {exc}") from exc
     lower = hull.equations[:, dim] < -1e-12
     simplices = np.sort(hull.simplices[lower].astype(np.int64), axis=1)
-    present = np.unique(simplices)
-    hidden = sorted(set(range(n)) - set(int(i) for i in present))
+    present = np.zeros(n, dtype=bool)
+    present[simplices] = True
+    hidden = np.flatnonzero(~present).tolist()
     info = {"hidden_points": hidden} if hidden else {}
     return simplices, info
 
@@ -170,31 +172,46 @@ def _solve_rows(gram: np.ndarray, rhs: np.ndarray):
     return np.stack([x0, x1, x2], axis=1), bad
 
 
+# _orthocenters works on this many rows at a time. A tetrahedron row in 3-D
+# takes about 400 B of temporaries (its edge vectors, their squares, the
+# Gram matrix and the solve), so a block holds about 3 MB however long the
+# table is. On a 20k-point cloud, blocks of 2k rows up to the whole table
+# ran equally fast
+_ORTHO_BLOCK_ROWS = 1 << 13
+
+
 def _orthocenters(points, weights, verts):
     """Power circumcenter and value for each simplex row of `verts`.
 
     The center minimizes the common power distance to the simplex vertices;
     the value is that power. Degenerate rows fall back to a minimum-norm
     least-squares solve, which selects the smallest sphere in the family.
+    Rows are solved in blocks of _ORTHO_BLOCK_ROWS; each row's arithmetic
+    is the same in any block.
     """
     m, kk = verts.shape
     k = kk - 1
-    p0 = points[verts[:, 0]]
     if k == 0:
         # adding 0.0 turns -0.0 into +0.0 for unweighted clouds
-        return p0.copy(), 0.0 - weights[verts[:, 0]]
-    q = points[verts[:, 1:]] - p0[:, None, :]
-    w0 = weights[verts[:, 0]]
-    rhs = 0.5 * ((q ** 2).sum(axis=2) - weights[verts[:, 1:]] + w0[:, None])
-    gram = q @ np.swapaxes(q, 1, 2)
-    y, bad = _solve_rows(gram, rhs)
-    c_rel = np.einsum("mk,mkd->md", y, q)
-    if bad.any():
+        return points[verts[:, 0]], 0.0 - weights[verts[:, 0]]
+    centers = np.empty((m, points.shape[1]))
+    values = np.empty(m)
+    for lo in range(0, m, _ORTHO_BLOCK_ROWS):
+        block = verts[lo:lo + _ORTHO_BLOCK_ROWS]
+        p0 = points[block[:, 0]]
+        q = points[block[:, 1:]] - p0[:, None, :]
+        w0 = weights[block[:, 0]]
+        rhs = 0.5 * ((q ** 2).sum(axis=2) - weights[block[:, 1:]]
+                     + w0[:, None])
+        gram = q @ np.swapaxes(q, 1, 2)
+        y, bad = _solve_rows(gram, rhs)
+        c_rel = np.einsum("mk,mkd->md", y, q)
         for r in np.flatnonzero(bad):
-            sol, *_ = np.linalg.lstsq(q[r], rhs[r], rcond=None)
-            c_rel[r] = sol
-    value = (c_rel ** 2).sum(axis=1) - w0
-    return p0 + c_rel, value
+            c_rel[r], *_ = np.linalg.lstsq(q[r], rhs[r], rcond=None)
+        rows = slice(lo, lo + len(block))
+        values[rows] = (c_rel ** 2).sum(axis=1) - w0
+        centers[rows] = p0 + c_rel
+    return centers, values
 
 
 _SNAP_REL_TOL = 1e-10
@@ -210,33 +227,44 @@ def _snap_ties(raw_by_dim, dims):
     values and merging runs separated by less than a relative tolerance
     restores those ties.
     """
-    parts = [raw_by_dim[d] for d in dims]
-    if not parts:
+    if not dims:
         return
-    pool = np.concatenate(parts)
+    sizes = [len(raw_by_dim[d]) for d in dims]
+    pool = np.concatenate([raw_by_dim[d] for d in dims])
     if len(pool) < 2:
         return
     order = np.argsort(pool, kind="stable")
     s = pool[order]
+    del pool
+    # a run breaks where a gap passes the tolerance of the value below it
+    tol = np.abs(s[:-1])
+    np.maximum(tol, 1.0, out=tol)
+    tol *= _SNAP_REL_TOL
     starts = np.ones(len(s), dtype=bool)
-    starts[1:] = np.diff(s) > _SNAP_REL_TOL * np.maximum(np.abs(s[:-1]), 1.0)
-    group = np.cumsum(starts) - 1
+    starts[1:] = np.diff(s) > tol
+    del tol
     # each run snaps to its largest member, which keeps exactly
     # representable values when the dust errs low
     run_ends = np.append(np.flatnonzero(starts)[1:] - 1, len(s) - 1)
-    out = np.empty_like(pool)
-    out[order] = s[run_ends][group]
+    snapped = s[run_ends]
+    del s, run_ends
+    group = np.cumsum(starts)
+    group -= 1
+    out = np.empty(len(order))
+    out[order] = snapped[group]
     offset = 0
-    for d, part in zip(dims, parts):
-        raw_by_dim[d] = out[offset:offset + len(part)]
-        offset += len(part)
+    for d, size in zip(dims, sizes):
+        raw_by_dim[d] = out[offset:offset + size]
+        offset += size
 
 
 def _alpha_tables(points, weights, top):
     """Per-dimension vertex tables, filtration values, and face incidences.
 
     faces_of[d][r] lists the rows of tables[d-1] that are the facets of
-    row r of tables[d].
+    row r of tables[d]; slot i is the facet without vertex i. Every step
+    below works one facet slot at a time, so its temporaries hold one
+    entry per cell rather than one per (cell, facet) pair.
     """
     top_dim = top.shape[1] - 1
     tables = {top_dim: top}
@@ -244,44 +272,58 @@ def _alpha_tables(points, weights, top):
     for d in range(top_dim, 0, -1):
         arr = tables[d]
         m = len(arr)
-        blocks = [np.delete(arr, i, axis=1) for i in range(d + 1)]
-        faces_all = np.concatenate(blocks, axis=0)
+        # block i of faces_all holds every row without its vertex i
+        faces_all = np.empty(((d + 1) * m, d), dtype=arr.dtype)
+        for i in range(d + 1):
+            block = faces_all[i * m:(i + 1) * m]
+            block[:, :i] = arr[:, :i]
+            block[:, i:] = arr[:, i + 1:]
         keys = _row_keys(faces_all)
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        first, inv = np.unique(keys, return_index=True,
+                               return_inverse=True)[1:]
+        del keys
         tables[d - 1] = faces_all[first]
+        del faces_all, first
         faces_of[d] = inv.reshape(d + 1, m).T
 
-    values = {}
-    centers = {}
-    raw = {}
-    for d in range(top_dim, -1, -1):
-        c, v = _orthocenters(points, weights, tables[d])
-        centers[d] = c
-        raw[d] = v
+    # the Gabriel test reads the centers of dimensions 1 .. top_dim - 1
+    raw, centers = {}, {}
+    for d in range(top_dim + 1):
+        c, raw[d] = _orthocenters(points, weights, tables[d])
+        if 0 < d < top_dim:
+            centers[d] = c
+        del c
     _snap_ties(raw, list(range(1, top_dim + 1)))
-    values[top_dim] = raw[top_dim]
+    values = {top_dim: raw[top_dim]}
     for d in range(top_dim - 1, 0, -1):
-        arr = tables[d + 1]
+        cofaces, slots = tables[d + 1], faces_of[d + 1]
+        center = centers.pop(d)
         m1 = len(tables[d])
-        face_idx = faces_of[d + 1].ravel()
-        cell_idx = np.repeat(np.arange(len(arr)), d + 2)
-        opp = arr.ravel()
-        cf = centers[d][face_idx]
-        power = ((points[opp] - cf) ** 2).sum(axis=1) - weights[opp]
-        tol = _GABRIEL_REL_TOL * np.maximum(np.abs(raw[d][face_idx]), 1.0)
-        inside = power < raw[d][face_idx] - tol
         non_gabriel = np.zeros(m1, dtype=bool)
-        non_gabriel[face_idx[inside]] = True
         prop = np.full(m1, np.inf)
-        np.minimum.at(prop, face_idx, values[d + 1][cell_idx])
+        for i in range(d + 2):
+            face, opp = slots[:, i], cofaces[:, i]
+            # power of the opposite vertex w.r.t. the face's sphere, summed
+            # one coordinate at a time in the order of a row sum
+            power = (points[opp, 0] - center[face, 0]) ** 2
+            for axis in range(1, points.shape[1]):
+                power += (points[opp, axis] - center[face, axis]) ** 2
+            power -= weights[opp]
+            r = raw[d][face]
+            tol = _GABRIEL_REL_TOL * np.maximum(np.abs(r), 1.0)
+            non_gabriel[face[power < r - tol]] = True
+            np.minimum.at(prop, face, values[d + 1])
+        del center
         values[d] = np.where(non_gabriel, prop, raw[d])
     values[0] = raw[0]
 
     # monotone clamp: float dust only, construction is monotone by design;
     # a larger gap means the triangulation does not fit the coordinates
     for d in range(1, top_dim + 1):
-        face_vals = values[d - 1][faces_of[d]]
-        floor = face_vals.max(axis=1)
+        slots = faces_of[d]
+        floor = values[d - 1][slots[:, 0]]
+        for i in range(1, d + 1):
+            np.maximum(floor, values[d - 1][slots[:, i]], out=floor)
         slack = values[d] - floor
         if slack.min(initial=0.0) <= \
                 -1e-6 * max(1.0, np.abs(floor).max(initial=0.0)):
@@ -308,8 +350,10 @@ def _build_alpha(cloud: PointCloud, weights) -> Filtration:
         top, info = _top_simplices_unweighted(points)
     else:
         top, info = _top_simplices_weighted(points, weights)
-    tables, values, faces_of = _alpha_tables(points, weights, top)
-    return _assemble("simplicial", tables, values, faces_of, info=info)
+    # no local holds the values or incidences: _assemble frees each once
+    # it is used
+    return _assemble("simplicial", *_alpha_tables(points, weights, top),
+                     info=info)
 
 
 def delaunay(points) -> SimplicialComplex:

@@ -28,6 +28,15 @@ import numpy as np
 
 from .errors import MissingFace, MonotonicityViolation
 
+# the most cells a builder makes before it raises TooLarge. A 40^3 or 64^3
+# cubical filtration holds 98 B per cell (tables, values, rows and the
+# boundary matrix); its build peaks at 1.5 times that under tracemalloc,
+# and the build and reduction together took 182 B per cell of max RSS at
+# 64^3. So 20M cells need about 20M * 182 B = 3.6 GB, under half of an
+# 8 GB machine
+CELL_CAP = 20_000_000
+
+
 class Simplex(tuple):
     """A simplex as a strictly increasing tuple of non-negative vertex ids."""
 
@@ -331,6 +340,10 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
     of tables_by_dim[d-1] that are the facets of each row of
     tables_by_dim[d], both in the caller's row order. The filtration keeps
     the tables in that order and records each cell's row in its table.
+
+    values_by_dim and facets are consumed: each entry is popped once it
+    has been read, so an array the caller does not hold elsewhere is freed
+    while the boundary matrix is still being built.
     """
     tables, vals_parts, by_rank = {}, [np.empty(0)], [np.empty(0, np.int64)]
     n = 0
@@ -346,7 +359,7 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
                 "duplicate cell with identity "
                 f"{tuple(int(x) for x in tab[perm[dup[0]]])}")
         tables[d] = tab
-        vals_parts.append(np.asarray(values_by_dim[d], dtype=np.float64))
+        vals_parts.append(np.asarray(values_by_dim.pop(d), dtype=np.float64))
         perm += n
         by_rank.append(perm)
         n += len(tab)
@@ -384,7 +397,7 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
     indices = np.empty(int(indptr[-1]), dtype=np.int64)
     for d in position:
         if d:
-            cols = position[d - 1][facets[d]]
+            cols = position[d - 1][facets.pop(d)]
             cols.sort(axis=1)
             slots = indptr[position[d]][:, None] + np.arange(cols.shape[1])
             indices[slots] = cols

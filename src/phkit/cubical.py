@@ -15,8 +15,8 @@ from itertools import product
 import numpy as np
 from scipy import ndimage
 
-from .complexes import Filtration, _assemble
-from .errors import UniformBitmap
+from .complexes import CELL_CAP, Filtration, _assemble
+from .errors import TooLarge, UniformBitmap
 
 
 class Bitmap:
@@ -57,9 +57,17 @@ def _min_pool(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def cubical_filtration(bitmap) -> Filtration:
-    """Sublevel filtration of a grayscale bitmap (voxels = top cubes)."""
+    """Sublevel filtration of a grayscale bitmap (voxels = top cubes).
+
+    Raises TooLarge, before any cell is made, when the bitmap's
+    prod(2 n_i + 1) cubes pass complexes.CELL_CAP.
+    """
     if not isinstance(bitmap, Bitmap):
         bitmap = Bitmap(bitmap)
+    cells = math.prod(2 * s + 1 for s in bitmap.shape)
+    if cells > CELL_CAP:
+        raise TooLarge(f"a bitmap of shape {bitmap.shape} has {cells} cubes; "
+                       f"filtrations hold at most {CELL_CAP} cells")
     vals = bitmap.values.astype(np.float64)
     k = vals.ndim
     shape = vals.shape

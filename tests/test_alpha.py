@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from phkit import (alpha_filtration, betti_numbers, compute_persistence,
-                   delaunay, oracle_persistence, weighted_alpha_filtration)
+from phkit import (alpha, alpha_filtration, betti_numbers,
+                   compute_persistence, delaunay, oracle_persistence,
+                   weighted_alpha_filtration)
 from phkit.alpha import PointCloud
 from phkit.errors import DegenerateInput, DuplicatePoints
 
@@ -304,3 +307,57 @@ def test_snapping_keeps_distinct_values_apart():
                                       & (np.abs(f.values - 0.25) < 1e-4)])
     assert len(near_quarter) == 2
     assert np.diff(near_quarter)[0] > 9e-7
+
+
+def held_bytes(f):
+    bm = f.boundary_matrix()
+    return sum(a.nbytes for a in (f.dims, f.values, f._rows, bm.indptr,
+                                  bm.indices, *f._tables.values()))
+
+
+@pytest.mark.parametrize("dim", [3, 2])
+def test_build_peak_memory_stays_near_the_result(dim):
+    # the traced peak of a build against the bytes its filtration holds:
+    # about 1.7 in 3-D and 1.9 in 2-D when the build works one facet slot
+    # or row block at a time; arrays with one row per (cell, facet)
+    # incidence and a column per coordinate reached 3.0 and 2.8
+    pts = np.random.default_rng(0).random((5000, dim))
+    alpha_filtration(pts)
+    tracemalloc.start()
+    try:
+        f = alpha_filtration(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * held_bytes(f)
+
+
+def cubic_lattice(side):
+    axes = [np.arange(float(side))] * 3
+    return np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alpha_filtration(np.random.default_rng(1).random((2500, 3))),
+    lambda: alpha_filtration(np.random.default_rng(2).random((6000, 2))),
+    # hides 6 of its points
+    lambda: weighted_alpha_filtration(
+        np.random.default_rng(7).random((2500, 3)),
+        np.random.default_rng(8).random(2500) * 0.002),
+    # zero-volume tetrahedra take the least-squares path in several blocks
+    lambda: alpha_filtration(cubic_lattice(14)),
+], ids=["3d", "2d", "weighted", "lattice"])
+def test_orthocenter_blocks_match_one_block(build, monkeypatch):
+    f = build()
+    assert max(map(len, f._tables.values())) > 2 * alpha._ORTHO_BLOCK_ROWS
+    monkeypatch.setattr(alpha, "_ORTHO_BLOCK_ROWS", 1 << 40)
+    g = build()
+    assert f.info == g.info
+    for name in ("dims", "values", "_rows"):
+        assert np.array_equal(getattr(f, name), getattr(g, name))
+    assert f._tables.keys() == g._tables.keys()
+    for d in f._tables:
+        assert np.array_equal(f._tables[d], g._tables[d])
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(f.boundary_matrix(), name),
+                              getattr(g.boundary_matrix(), name))

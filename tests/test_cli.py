@@ -310,6 +310,17 @@ def test_bottleneck_past_size_cap_exits_3(tmp_path):
     assert "TooLarge" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_bitmap_past_cell_cap_exits_3(tmp_path):
+    # rank 12, two voxels per axis: 5**12 cubes pass the cell cap
+    values = " ".join(["0"] * 2 ** 12)
+    (tmp_path / "big.txt").write_text(
+        f"NDBITMAP v1\n12\n{' '.join(['2'] * 12)}\n{values}\n")
+    r = run("compute", "big.txt", "--kind", "bitmap", cwd=tmp_path)
+    assert r.returncode == 3
+    assert "TooLarge" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "big.diagram.json").exists()
+
+
 def test_binary_bitmap_ring(tmp_path):
     (tmp_path / "ring.pgm").write_text(
         "P2\n3 3\n1\n1 1 1\n1 0 1\n1 1 1\n")

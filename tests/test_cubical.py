@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import product
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from phkit import compute_persistence, oracle_persistence
+from phkit.complexes import CELL_CAP
 from phkit.cubical import Bitmap, cubical_filtration, distance_transform
-from phkit.errors import UniformBitmap
+from phkit.errors import TooLarge, UniformBitmap
 
 
 def test_two_voxel_strip():
@@ -92,8 +94,9 @@ def test_matches_rank_oracle_on_random_bitmaps():
 
 def test_build_peak_memory_stays_near_the_result():
     # the traced peak of a build against the bytes its filtration holds:
-    # about 1.8x when the filtration keeps the builder's cell tables;
-    # sorted copies of those tables reach 2.2x
+    # about 1.55x when _assemble frees the builder's values and facets as
+    # it consumes them; 1.8x when they lived to the end of the build, and
+    # sorted copies of the cell tables reached 2.2x
     vol = np.random.default_rng(3).random((16, 16, 16))
     cubical_filtration(vol)
     tracemalloc.start()
@@ -105,7 +108,22 @@ def test_build_peak_memory_stays_near_the_result():
     bm = f.boundary_matrix()
     held = sum(a.nbytes for a in (f.dims, f.values, f._rows, bm.indptr,
                                   bm.indices, *f._tables.values()))
-    assert peak < 2.0 * held
+    assert peak < 1.7 * held
+
+
+def test_cell_cap_is_checked_before_any_cube_is_made():
+    # 4,096 voxels of rank 12 make 5**12 = 244M cubes
+    vol = np.zeros((2,) * 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            cubical_filtration(vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the baseline's 64^3 volume stays well under the cap
+    assert math.prod(2 * s + 1 for s in (64, 64, 64)) < CELL_CAP / 4
 
 
 def test_distance_transform_1d_examples():
