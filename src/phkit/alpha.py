@@ -16,6 +16,7 @@ equal to the surrounding cells' and therefore invisible in diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
@@ -134,42 +135,36 @@ def _top_simplices_weighted(points: np.ndarray, weights: np.ndarray):
 
 
 def _solve_rows(gram: np.ndarray, rhs: np.ndarray):
-    """Batched solve of k x k systems, k <= 3, with a singular-row mask."""
+    """Batched solve of k x k systems, k <= 3, with a singular-row mask.
+
+    Cramer's rule: cofactor (i, j) is (-1)^(i+j) times the minor without
+    row i and column j, where an odd 2 x 2 one swaps its products rather
+    than negating their difference; det expands along row 0, and every
+    sum starts from its first term.
+    """
     k = gram.shape[1]
     diag = np.einsum("mii->mi", gram)
     scale = np.maximum(diag.mean(axis=1), 1e-300) ** k
-    if k == 1:
-        det = gram[:, 0, 0]
-        bad = np.abs(det) <= 1e-14 * scale
-        safe = np.where(bad, 1.0, det)
-        x = rhs / safe[:, None]
-        return x, bad
-    if k == 2:
-        a, b = gram[:, 0, 0], gram[:, 0, 1]
-        c, d = gram[:, 1, 0], gram[:, 1, 1]
-        det = a * d - b * c
-        bad = np.abs(det) <= 1e-14 * scale
-        safe = np.where(bad, 1.0, det)
-        x0 = (d * rhs[:, 0] - b * rhs[:, 1]) / safe
-        x1 = (-c * rhs[:, 0] + a * rhs[:, 1]) / safe
-        return np.stack([x0, x1], axis=1), bad
-    m = gram
-    c00 = m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1]
-    c01 = m[:, 1, 2] * m[:, 2, 0] - m[:, 1, 0] * m[:, 2, 2]
-    c02 = m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0]
-    det = m[:, 0, 0] * c00 + m[:, 0, 1] * c01 + m[:, 0, 2] * c02
+
+    def cof(i, j):
+        r = [a for a in range(k) if a != i]
+        c = [b for b in range(k) if b != j]
+        odd = (i + j) % 2
+        if not r:
+            return 1.0
+        if len(r) == 1:
+            return -gram[:, r[0], c[0]] if odd else gram[:, r[0], c[0]]
+        ad = gram[:, r[0], c[0]] * gram[:, r[1], c[1]]
+        bc = gram[:, r[0], c[1]] * gram[:, r[1], c[0]]
+        return bc - ad if odd else ad - bc
+
+    cofs = [[cof(i, j) for j in range(k)] for i in range(k)]
+    det = reduce(np.add, (gram[:, 0, j] * cofs[0][j] for j in range(k)))
     bad = np.abs(det) <= 1e-14 * scale
     safe = np.where(bad, 1.0, det)
-    c10 = m[:, 0, 2] * m[:, 2, 1] - m[:, 0, 1] * m[:, 2, 2]
-    c11 = m[:, 0, 0] * m[:, 2, 2] - m[:, 0, 2] * m[:, 2, 0]
-    c12 = m[:, 0, 1] * m[:, 2, 0] - m[:, 0, 0] * m[:, 2, 1]
-    c20 = m[:, 0, 1] * m[:, 1, 2] - m[:, 0, 2] * m[:, 1, 1]
-    c21 = m[:, 0, 2] * m[:, 1, 0] - m[:, 0, 0] * m[:, 1, 2]
-    c22 = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    x0 = (c00 * rhs[:, 0] + c10 * rhs[:, 1] + c20 * rhs[:, 2]) / safe
-    x1 = (c01 * rhs[:, 0] + c11 * rhs[:, 1] + c21 * rhs[:, 2]) / safe
-    x2 = (c02 * rhs[:, 0] + c12 * rhs[:, 1] + c22 * rhs[:, 2]) / safe
-    return np.stack([x0, x1, x2], axis=1), bad
+    x = [reduce(np.add, (cofs[i][j] * rhs[:, i] for i in range(k))) / safe
+         for j in range(k)]
+    return np.stack(x, axis=1), bad
 
 
 # _orthocenters works on this many rows at a time. A tetrahedron row in 3-D

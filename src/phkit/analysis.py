@@ -76,8 +76,23 @@ def _finite_pairs(pd):
     return pd.births[mask], pd.deaths[mask]
 
 
+# histogram and persistence_image refuse a grid of more than this many
+# entries: bins**2, and for the image also finite pairs * bins. At the cap
+# the histogram's int64 counts take 8 B * 2**24 = 134 MB; under tracemalloc
+# the image peaked at 135 MB for 4096 bins and at 436 MB for 838,860 pairs
+# x 20 bins. phkit vectorize then joins 2**24 numbers of about 20
+# characters into a 340 MB row; the join peaked at 109 MB per 2**20
+# numbers, so about 1.8 GB at the cap. All of it fits in 8 GB. The
+# defaults, 64 and 20 bins, and 1e5 pairs at 20 bins (2e6 entries) stay
+# far below
+GRID_CAP = 1 << 24
+
+
 def _window(value_range, bins, error):
-    """(lo, hi, bins) of a square window, or error for a bad one."""
+    """(lo, hi, bins) of a square window, or error for a bad one.
+
+    Raises TooLarge when bins**2 passes GRID_CAP.
+    """
     lo, hi = float(value_range[0]), float(value_range[1])
     bins = int(bins)
     if not lo < hi:
@@ -86,6 +101,9 @@ def _window(value_range, bins, error):
         raise error(f"range [{lo}, {hi}] must have finite ends")
     if bins < 1:
         raise error("bins must be >= 1")
+    if bins * bins > GRID_CAP:
+        raise TooLarge(f"a {bins} x {bins} grid has more than {GRID_CAP} "
+                       "entries")
     return lo, hi, bins
 
 
@@ -95,6 +113,7 @@ def histogram(pd, value_range, bins: int) -> DiagramHistogram:
     Bins are half-open, the last one closed; counts[i][j] is the number of
     pairs with birth in bin i and death in bin j. Finite pairs outside the
     window land in the overflow tally; essential pairs are counted apart.
+    Raises TooLarge when bins**2 passes GRID_CAP.
     """
     lo, hi, bins = _window(value_range, bins, BadRange)
     births, deaths = _finite_pairs(pd)
@@ -120,6 +139,7 @@ def persistence_image(pd, value_range, bins: int, sigma: float,
     so a single pair well inside the window sums to about its weight. The
     weight ramps linearly in persistence and saturates at w_max (default:
     the window height). The vector lists bins row-major, birth fastest.
+    Raises TooLarge when bins**2 or finite pairs * bins passes GRID_CAP.
     """
     lo, hi, bins = _window(value_range, bins, BadParams)
     sigma = float(sigma)
@@ -132,6 +152,9 @@ def persistence_image(pd, value_range, bins: int, sigma: float,
         raise BadParams("w_max must be positive")
 
     births, deaths = _finite_pairs(pd)
+    if len(births) * bins > GRID_CAP:
+        raise TooLarge(f"{len(births)} finite pairs x {bins} bins is more "
+                       f"than {GRID_CAP} entries")
     width = (hi - lo) / bins
     centers = lo + (np.arange(bins) + 0.5) * width
     weights = np.minimum((deaths - births) / w_max, 1.0)

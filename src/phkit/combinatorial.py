@@ -17,16 +17,19 @@ searching the key of that pair among the sorted keys one table down. The
 facet that drops t_{d-1} exists exactly when v is adjacent to every
 earlier vertex, so that one search is also the clique test. A simplex's
 value is the largest of p's value, that facet's value and the weight of
-the edge (t_{d-1}, v), which together cover all of its edges. The builder
+the edge (t_{d-1}, v), which together cover all of its edges. A vertex's
+one facet is the empty simplex, so edges take the same step. The builder
 hands these facets to _assemble, so no facet is looked up by identity.
+Before a dimension is made, the candidate rows of every dimension so far
+are counted, and past complexes.CELL_CAP the builder raises TooLarge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Filtration, _assemble
-from .errors import BadParams
+from .complexes import CELL_CAP, Filtration, _assemble
+from .errors import BadParams, TooLarge
 
 
 class WeightedGraph:
@@ -116,25 +119,31 @@ def _cliques(n, i, j, w, max_dim) -> Filtration:
     w = w + 0.0  # -0.0 becomes +0.0, as np.maximum(0.0, -0.0) is -0.0
     tab, val = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
     tables, values, facets = {0: tab}, {0: val}, {}
+    # vertex v's one facet is the empty simplex, so its key is 0*n + v
+    fac = np.zeros((n, 1), dtype=np.int64)
+    keys = np.append(np.arange(n), np.iinfo(np.int64).max)
+    total = 0
     for d in range(1, max_dim + 1):
         lo = start[tab[:, -1]]
         count = start[tab[:, -1] + 1] - lo
+        total += int(count.sum())
+        if total > CELL_CAP:
+            raise TooLarge(f"the cliques up to dimension {d} have {total} "
+                           f"candidates; filtrations hold at most "
+                           f"{CELL_CAP} cells")
         parent = np.repeat(np.arange(len(tab)), count)
         edge = np.arange(len(parent)) + (lo + count - np.cumsum(count))[parent]
         v = j[edge]
-        # column k of fac holds the facet without vertex k
-        if d == 1:
-            fac, new_val = np.column_stack([v, parent]), w[edge]
-        else:
-            # the facet without the parent's last vertex exists exactly
-            # when v is adjacent to every earlier vertex
-            q = fac[parent, -1] * n + v
-            pos = np.searchsorted(keys, q)
-            ok = keys[pos] == q
-            parent, v, edge, pos = parent[ok], v[ok], edge[ok], pos[ok]
-            new_val = np.maximum(np.maximum(val[parent], val[pos]), w[edge])
-            rest = np.searchsorted(keys, fac[parent, :-1] * n + v[:, None])
-            fac = np.column_stack([rest, pos, parent])
+        # column k of fac holds the facet without vertex k; the facet
+        # without the parent's last vertex exists exactly when v is
+        # adjacent to every earlier vertex
+        q = fac[parent, -1] * n + v
+        pos = np.searchsorted(keys, q)
+        ok = keys[pos] == q
+        parent, v, edge, pos = parent[ok], v[ok], edge[ok], pos[ok]
+        new_val = np.maximum(np.maximum(val[parent], val[pos]), w[edge])
+        rest = np.searchsorted(keys, fac[parent, :-1] * n + v[:, None])
+        fac = np.column_stack([rest, pos, parent])
         if not len(parent):
             break
         # ascending: rows are made in (parent, v) order; no query equals

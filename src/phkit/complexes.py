@@ -265,25 +265,23 @@ def _cell(kind, row):
 def _row_keys(table):
     """One int64 key per row of the table, in the order of the rows.
 
-    Rows compare lexicographically, so equal rows get equal keys. Columns
-    pack in base max+1 when that fits in 62 bits; otherwise the keys are
-    ranks among the distinct rows.
+    Rows compare lexicographically, so equal rows get equal keys. Each
+    column packs in base max+1; a column past 2^31 packs its ranks, and
+    keys the next step would take past 2^62 are first replaced by ranks.
     """
-    base = int(table.max(initial=0)) + 1
-    if base ** table.shape[1] < 1 << 62:
-        keys = np.zeros(len(table), dtype=np.int64)
-        for col in table.T:
-            keys *= base
-            keys += col
-        return keys
-    order = np.lexsort(table.T[::-1])
-    # a sorted row starts a new run when any column differs from the last
-    starts = np.zeros(len(table), dtype=bool)
+    keys = np.zeros(len(table), dtype=np.int64)
+    bound = 1  # every key is below bound
     for col in table.T:
-        ordered = col[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
-    keys = np.empty(len(table), dtype=np.int64)
-    keys[order] = np.cumsum(starts)
+        base = int(col.max(initial=0)) + 1
+        if base > 1 << 31:
+            col = np.unique(col, return_inverse=True)[1]
+            base = int(col.max(initial=0)) + 1
+        if bound * base > 1 << 62:
+            keys = np.unique(keys, return_inverse=True)[1]
+            bound = int(keys.max(initial=0)) + 1
+        keys *= base
+        keys += col
+        bound *= base
     return keys
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 
@@ -232,6 +233,7 @@ def write_diagram_file(path, diagrams, *, kind, squared, input_path,
     """
     by_degree = {}
     for pd in diagrams:
+        pd = replace(pd)  # sort a copy: the caller's diagram keeps its order
         pd.sort()
         by_degree[str(pd.degree)] = pd
     header = json.dumps({

@@ -1,7 +1,6 @@
 """Acceptance gate: nine end-to-end checks, one printed line each."""
 
 import math
-import os
 import resource
 import subprocess
 import sys
@@ -10,12 +9,13 @@ import time
 import numpy as np
 import pytest
 
-import phkit
 from phkit import (DistanceMatrix, PointCloud, SimplicialComplex,
                    alpha_filtration, betti_numbers, bottleneck_distance,
                    compute_persistence, cubical_filtration, make_filtration,
                    oracle_persistence, rips_filtration,
                    wasserstein_distance, weighted_alpha_filtration, Bitmap)
+
+from conftest import child_env
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -392,19 +392,6 @@ def test_criterion_8_scale_smoke():
     report(8, "100k-point scale smoke", ok, elapsed,
            f"elapsed {elapsed:.1f} s, peak {peak_gb:.2f} GB, "
            f"populated={populated}")
-
-
-def child_env():
-    """The environment with phkit's absolute source root first on PYTHONPATH.
-
-    CLI children run in a temporary directory, where a relative entry such
-    as ``src`` no longer resolves.
-    """
-    package_dir = os.path.dirname(os.path.abspath(phkit.__file__))
-    src_root = os.path.dirname(package_dir)
-    path = os.pathsep.join(
-        p for p in (src_root, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path)
 
 
 def run_cli(*args, cwd):

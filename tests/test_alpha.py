@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.spatial import Delaunay, QhullError
 
 from phkit import (alpha, alpha_filtration, betti_numbers,
                    compute_persistence, delaunay, oracle_persistence,
@@ -204,6 +205,53 @@ def test_near_duplicate_point_in_3d_is_degenerate():
     # the jittered triangulation gives a cell a value below its faces'
     with pytest.raises(DegenerateInput):
         alpha_filtration(near_duplicate_cloud(7, (10, 3)))
+
+
+def raise_qhull_error(*args, **kwargs):
+    raise QhullError("QH6154 Qhull precision error: initial simplex is flat")
+
+
+def test_qhull_error_is_degenerate_input(monkeypatch):
+    monkeypatch.setattr(alpha, "Delaunay", raise_qhull_error)
+    with pytest.raises(DegenerateInput, match="triangulation failed"):
+        alpha_filtration(np.random.default_rng(0).random((10, 2)))
+
+
+def test_lifted_hull_qhull_error_is_degenerate_input(monkeypatch):
+    monkeypatch.setattr(alpha, "ConvexHull", raise_qhull_error)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DegenerateInput, match="lifted hull failed"):
+        weighted_alpha_filtration(rng.random((10, 2)), rng.random(10))
+
+
+def test_jitter_gives_up_when_a_point_stays_dropped(monkeypatch):
+    calls = []
+
+    def drop_last_point(pts):
+        calls.append(pts)
+        return Delaunay(pts[:-1])
+
+    monkeypatch.setattr(alpha, "Delaunay", drop_last_point)
+    with pytest.raises(DegenerateInput, match="even after jitter"):
+        alpha_filtration(np.random.default_rng(0).random((10, 2)))
+    assert len(calls) == 4
+
+
+def test_solve_rows_matches_numpy_solve():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3):
+        q = rng.normal(size=(200, k, 3))
+        gram = q @ np.swapaxes(q, 1, 2) + 3 * np.eye(k)
+        rhs = rng.normal(size=(200, k))
+        x, bad = alpha._solve_rows(gram, rhs)
+        assert not bad.any()
+        want = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        assert np.allclose(x, want, rtol=1e-12, atol=1e-12)
+        # a repeated edge vector, or for k = 1 a zero one, makes it singular
+        q[:100, -1] = q[:100, 0] * (k > 1)
+        gram = q @ np.swapaxes(q, 1, 2)
+        _, bad = alpha._solve_rows(gram, rhs)
+        assert bad[:100].all() and not bad[100:].any()
 
 
 def test_duplicate_points_rejected():

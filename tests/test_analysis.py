@@ -1,11 +1,13 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phkit import PersistenceDiagram, alpha_filtration, compute_persistence
-from phkit.analysis import (BOTTLENECK_SIZE_CAP, WASSERSTEIN_SIZE_CAP,
-                            bottleneck_distance, histogram,
+from phkit.analysis import (BOTTLENECK_SIZE_CAP, GRID_CAP,
+                            WASSERSTEIN_SIZE_CAP, bottleneck_distance,
+                            histogram,
                             persistence_image, wasserstein_distance)
 from phkit.errors import BadParams, BadRange, TooLarge
 
@@ -105,6 +107,29 @@ def test_infinite_window_rejected(window):
         histogram(pd, window, 4)
     with pytest.raises(BadParams, match="finite ends"):
         persistence_image(pd, window, 2, sigma=0.1)
+
+
+def test_grid_past_cap_is_too_large():
+    side = int(GRID_CAP ** 0.5)
+    assert side * side == GRID_CAP
+    pd = pd_of([(0.1, 0.4)])
+    # bins**2 is at the cap, but finite pairs * bins passes it
+    births = np.arange(side + 1) / (side + 1)
+    many = PersistenceDiagram(1, births, births + 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=f"{side + 1} x {side + 1} grid"):
+            histogram(pd, (0, 1), side + 1)
+        with pytest.raises(TooLarge, match=f"{side + 1} x {side + 1} grid"):
+            persistence_image(pd, (0, 1), side + 1, sigma=0.1)
+        with pytest.raises(TooLarge,
+                           match=f"{side + 1} finite pairs x {side} bins"):
+            persistence_image(many, (0, 2), side, sigma=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a grid at the cap would take 134 MB
+    assert peak < 1 << 20
 
 
 def test_image_empty_is_zero():

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -11,6 +10,8 @@ import pytest
 
 import phkit
 from phkit import PersistenceDiagram, read_diagram_file, write_diagram_file
+
+from conftest import child_env
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 TETRA_TXT = "\n".join(
@@ -26,19 +27,6 @@ OCTA_TXT = "\n".join(
         (_R, 0, 0), (-_R, 0, 0), (0, _R, 0),
         (0, -_R, 0), (0, 0, _R), (0, 0, -_R),
     ]) + "\n"
-
-
-def child_env():
-    """The environment with phkit's absolute source root first on PYTHONPATH.
-
-    CLI children run in a temporary directory, where a relative entry such
-    as ``src`` no longer resolves.
-    """
-    package_dir = os.path.dirname(os.path.abspath(phkit.__file__))
-    src_root = os.path.dirname(package_dir)
-    path = os.pathsep.join(
-        p for p in (src_root, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path)
 
 
 def run(*args, cwd=None):
@@ -243,6 +231,39 @@ def test_non_finite_parameter_exits_3(tetra_dir, args, error):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("args", [("plot", "-o", "x.svg"), ("vectorize",)],
+                         ids=["plot", "vectorize"])
+def test_grid_past_cap_exits_3(tetra_dir, args):
+    # a 100,000 x 100,000 grid would take 80 GB; the check comes first
+    r = run(args[0], "tetra.diagram.json", *args[1:], "--degree", "1",
+            "--bins", "100000", cwd=tetra_dir)
+    assert r.returncode == 3
+    assert "TooLarge" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == "" and not (tetra_dir / "x.svg").exists()
+
+
+@pytest.mark.parametrize("points, degree, hi", [
+    ("0 0\n1 0\n0 1\n1 1.5\n", 2, "1"),
+    ("0.5 0.5\n", 0, "0.05"),
+], ids=["no-pairs", "all-zero"])
+def test_default_range_fallbacks(tmp_path, points, degree, hi):
+    # a planar cloud has no degree-2 pairs: the window falls back to
+    # [0, 1]; one point has one essential class born at 0, so the window
+    # has no span and gets [0, 0.05]
+    (tmp_path / "c.txt").write_text(points)
+    r = run("compute", "c.txt", "--kind", "pointcloud", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run("plot", "c.diagram.json", "--degree", degree, "-o", "c.svg",
+            cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    svg = (tmp_path / "c.svg").read_text()
+    assert 'font-size="13">0</text>' in svg
+    assert f'font-size="13">{hi}</text>' in svg
+    r = run("vectorize", "c.diagram.json", "--degree", degree, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ",".join(["0"] * 400) + "\n"
+
+
 def test_vectorize_stdout_row(tetra_dir):
     r = run("vectorize", "tetra.diagram.json", "--degree", "1",
             cwd=tetra_dir)
@@ -308,6 +329,18 @@ def test_bottleneck_past_size_cap_exits_3(tmp_path):
     r = run("distance", "a.json", "b.json", "--degree", "1", cwd=tmp_path)
     assert r.returncode == 3
     assert "TooLarge" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_rips_past_cell_cap_exits_3(tmp_path):
+    # the cliques of 200 points up to dimension 3 have 64.7M candidates
+    pts = np.random.default_rng(0).random((200, 3))
+    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+    np.savetxt(tmp_path / "d.csv", d, delimiter=",", fmt="%.17g")
+    r = run("compute", "d.csv", "--kind", "distance-matrix", "--maxdim", "3",
+            "--max-value", "10", cwd=tmp_path)
+    assert r.returncode == 3
+    assert "TooLarge" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "d.diagram.json").exists()
 
 
 def test_bitmap_past_cell_cap_exits_3(tmp_path):

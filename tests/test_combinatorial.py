@@ -8,7 +8,8 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from phkit import compute_persistence, oracle_persistence
 from phkit.combinatorial import (DistanceMatrix, WeightedGraph,
                                  clique_filtration, rips_filtration)
-from phkit.errors import BadParams
+from phkit.complexes import CELL_CAP
+from phkit.errors import BadParams, TooLarge
 
 
 def test_triangle_graph_max_edge_value():
@@ -135,6 +136,16 @@ def test_matches_rank_oracle_on_random_rips():
             pd_e.sort()
             pd_o.sort()
             assert np.array_equal(pd_e.pairs, pd_o.pairs)
+
+
+def test_rips_past_cell_cap_is_too_large():
+    # 200 points within the cutoff have C(200, 4) = 64,684,950 candidate
+    # tetrahedra; the builder refuses them before it lists any
+    pts = np.random.default_rng(0).random((200, 3))
+    total = sum(math.comb(200, k) for k in (2, 3, 4))
+    assert math.comb(200, 2) + math.comb(200, 3) < CELL_CAP < total
+    with pytest.raises(TooLarge, match=f"dimension 3 have {total} "):
+        rips_filtration(DistanceMatrix.from_points(pts), 3, 10.0)
 
 
 def test_graph_validation():

@@ -238,9 +238,10 @@ def test_cubical_filtration_missing_face():
     assert exc.value.face == gone
 
 
-@pytest.mark.parametrize("offset", [0, 2 ** 31])
+@pytest.mark.parametrize("offset", [0, 2 ** 30, 2 ** 31, 2 ** 40, 2 ** 62])
 def test_row_keys_follow_row_order(offset):
-    # from 2**31 on, three packed columns overflow and keys become ranks
+    # at 2**30 the third column would pass 2**62 and the keys so far become
+    # ranks; from 2**31 on each column packs its own ranks
     rng = np.random.default_rng(4)
     a = rng.integers(0, 4, (50, 3)) + offset
     b = rng.integers(0, 4, (30, 3)) + offset

@@ -248,6 +248,19 @@ def test_diagram_write_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_writer_keeps_the_callers_order(tmp_path):
+    births = np.array([0.5, 0.1, 0.3, 0.1])
+    deaths = np.array([0.9, np.inf, 0.4, 0.2])
+    pd = PersistenceDiagram(1, births.copy(), deaths.copy())
+    write_diagram_file(tmp_path / "t.json", [pd], kind="pointcloud",
+                       squared=True, input_path="x.txt")
+    assert np.array_equal(pd.births, births)
+    assert np.array_equal(pd.deaths, deaths)
+    df = read_diagram_file(tmp_path / "t.json")
+    assert df.diagram(1).pairs == [(0.1, 0.2), (0.1, math.inf), (0.3, 0.4),
+                                   (0.5, 0.9)]
+
+
 def test_diagram_essential_preserved(tmp_path):
     _, diagrams = compute_persistence(alpha_filtration(tetra_cloud()))
     out = tmp_path / "t.json"
