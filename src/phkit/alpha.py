@@ -67,8 +67,6 @@ def _as_cloud(points, weights=None) -> PointCloud:
 
 
 def _check_duplicates(points: np.ndarray):
-    if len(points) < 2:
-        return
     tree = cKDTree(points)
     pairs = tree.query_pairs(DUPLICATE_TOL, p=np.inf)
     if pairs:
@@ -226,8 +224,6 @@ def _snap_ties(raw_by_dim, dims):
         return
     sizes = [len(raw_by_dim[d]) for d in dims]
     pool = np.concatenate([raw_by_dim[d] for d in dims])
-    if len(pool) < 2:
-        return
     order = np.argsort(pool, kind="stable")
     s = pool[order]
     del pool

@@ -310,13 +310,11 @@ def wasserstein_distance(a, b, q: float = 1.0) -> DiagramDistanceReport:
     total = 0.0
     for i, j in ess_matches:
         total += abs(float(a.births[i]) - float(b.births[j])) ** q
-    matching = list(ess_matches)
-    if size:
-        cost = np.zeros((size, size))
-        cost[:m, :n] = _cross_cost(ab, ad, bb, bd) ** q
-        cost[:m, n:] = (((ad - ab) / 2.0) ** q)[:, None]
-        cost[m:, :n] = (((bd - bb) / 2.0) ** q)[None, :]
-        rows, cols = linear_sum_assignment(cost)
-        total += float(cost[rows, cols].sum())
-        matching += _assignment_matching(ia, ib, rows, cols)
+    cost = np.zeros((size, size))
+    cost[:m, :n] = _cross_cost(ab, ad, bb, bd) ** q
+    cost[:m, n:] = (((ad - ab) / 2.0) ** q)[:, None]
+    cost[m:, :n] = (((bd - bb) / 2.0) ** q)[None, :]
+    rows, cols = linear_sum_assignment(cost)
+    total += float(cost[rows, cols].sum())
+    matching = ess_matches + _assignment_matching(ia, ib, rows, cols)
     return DiagramDistanceReport(total ** (1.0 / q), matching)

@@ -42,8 +42,6 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except ParseError as exc:
             _fail(str(exc), 2)
-        except click.ClickException:
-            raise
         except PHKitError as exc:
             _fail(f"{type(exc).__name__}: {exc}", 3)
         except (ValueError, OSError) as exc:
@@ -208,7 +206,7 @@ def vectorize(file, degree, value_range, bins, sigma, wmax, output):
     if sigma is None:
         sigma = 0.05 * (value_range[1] - value_range[0])
     img = persistence_image(pd, value_range, bins, sigma, wmax)
-    row = ",".join(f"{v:.17g}" for v in img.vector) + "\n"
+    row = ",".join(f"{v:.17g}" for v in img.vector.tolist()) + "\n"
     if output is None:
         click.echo(row, nl=False)
     else:

@@ -302,13 +302,12 @@ def _lookup_facets(kind, tables):
             ids = np.stack([np.delete(tab, i, axis=1) for i in range(d + 1)],
                            axis=1).reshape(-1, d)
         else:
-            # collapse each extended axis to its two ends; slots stay grouped
-            # per cell, lo before hi
+            # collapse each extended axis to its two ends; np.nonzero lists
+            # each cell's d axes in turn, so slots group per cell, lo first
             k = tab.shape[1] // 2
             rows_f, axes_f = np.nonzero(tab[:, k:])
-            ordinal = np.arange(len(rows_f)) - rows_f * d
             ids = np.repeat(tab, 2 * d, axis=0)
-            slot_lo = rows_f * 2 * d + 2 * ordinal
+            slot_lo = 2 * np.arange(len(rows_f))
             ids[slot_lo, k + axes_f] = 0
             ids[slot_lo + 1, k + axes_f] = 0
             ids[slot_lo + 1, axes_f] += 1
@@ -347,8 +346,6 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
     n = 0
     for d in sorted(tables_by_dim):
         tab = np.ascontiguousarray(tables_by_dim[d], dtype=np.int64)
-        if len(tab) == 0:
-            continue
         keys = _row_keys(tab)
         perm = np.argsort(keys, kind="stable")
         dup = np.flatnonzero(np.diff(keys[perm]) == 0)

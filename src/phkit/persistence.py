@@ -356,8 +356,6 @@ def _diagrams_from_pairing(f: Filtration, pivot_of) -> list[PersistenceDiagram]:
     Pairs come before essentials ahead of each diagram's stable sort, so
     ties keep that order.
     """
-    if not len(f):
-        return []
     births, deaths, essential = _read_pairing(pivot_of)
     vals = f.values
     keep = vals[births] != vals[deaths]
@@ -442,31 +440,29 @@ def representative_cycle(pairing: PersistencePairing, pair,
     if isinstance(pair, (int, np.integer)):
         pair = (int(pair), None)
     birth, death = int(pair[0]), pair[1]
+    death = None if death is None or death < 0 else int(death)
     degree = int(f.dims[birth])
 
-    if death is None or death < 0:
+    if death is None:
         if birth not in set(pairing.essential):
             raise ValueError(f"cell {birth} is not essential in this pairing")
         if not allow_essential:
             raise EssentialPair(
                 f"class born at index {birth} never dies; "
                 "pass allow_essential=True for its cycle")
-        if degree == 0:
-            return RepresentativeCycle(0, birth, None, [birth], f)
-        if pairing.chains is None:
+        if degree and pairing.chains is None:
             raise EssentialPair(
                 "essential cycles above degree 0 need a pairing computed "
                 "with with_v=True")
-        return RepresentativeCycle(degree, birth, None,
-                                   sorted(pairing.chains[birth]), f)
-
-    death = int(death)
-    if pairing.pivot_of[birth] != death:
+    elif pairing.pivot_of[birth] != death:
         raise ValueError(f"({birth}, {death}) is not a pair of this pairing")
     if degree == 0:
-        return RepresentativeCycle(0, birth, death, [birth], f)
-    return RepresentativeCycle(degree, birth, death,
-                               list(pairing.reduced[death]), f)
+        cells = [birth]
+    elif death is None:
+        cells = sorted(pairing.chains[birth])
+    else:
+        cells = list(pairing.reduced[death])
+    return RepresentativeCycle(degree, birth, death, cells, f)
 
 
 def tighten_cycle_1d(pairing: PersistencePairing,

@@ -45,19 +45,15 @@ def histogram_svg(hist, *, log: bool = False) -> str:
         f'<stop offset="1" stop-color="{_color(1.0)}"/>'
         '</linearGradient></defs>',
     ]
-    bins = hist.bins
-    cell = _SIZE / bins
+    cell = _SIZE / hist.bins
     shade = _scale_counts(hist.counts, log)
-    for bi in range(bins):
-        for di in range(bins):
-            c = hist.counts[bi, di]
-            if c == 0:
-                continue
-            x = _X0 + bi * cell
-            y = _Y0 + _SIZE - (di + 1) * cell
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell)}" '
-                f'height="{_fmt(cell)}" fill="{_color(shade[bi, di])}"/>')
+    # np.nonzero visits the drawn bins in row-major order
+    for bi, di in zip(*np.nonzero(hist.counts)):
+        x = _X0 + bi * cell
+        y = _Y0 + _SIZE - (di + 1) * cell
+        parts.append(
+            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell)}" '
+            f'height="{_fmt(cell)}" fill="{_color(shade[bi, di])}"/>')
     x1, y1 = _X0, _Y0 + _SIZE
     x2, y2 = _X0 + _SIZE, _Y0
     parts.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '

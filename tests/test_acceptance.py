@@ -15,7 +15,8 @@ from phkit import (DistanceMatrix, PointCloud, SimplicialComplex,
                    oracle_persistence, rips_filtration,
                    wasserstein_distance, weighted_alpha_filtration, Bitmap)
 
-from conftest import child_env
+from conftest import (child_env, exhaustive_distance, regular_tetrahedron,
+                      same_value)
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -41,15 +42,6 @@ def close_multiset(got, expected, tol):
                for (b1, d1), (b2, d2) in zip(left, right))
 
 
-def tetra_points(a):
-    return np.array([
-        [0, 0, 0],
-        [a, 0, 0],
-        [a / 2, a * math.sqrt(3) / 2, 0],
-        [a / 2, a * math.sqrt(3) / 6, a * math.sqrt(2.0 / 3.0)],
-    ])
-
-
 def octa_points(a):
     r = a / math.sqrt(2.0)
     return np.array([[r, 0, 0], [-r, 0, 0], [0, r, 0],
@@ -61,7 +53,7 @@ def test_criterion_1_tetrahedron():
     problems = []
     for a in (1.0, 2.5):
         _, diagrams = compute_persistence(
-            alpha_filtration(PointCloud(tetra_points(a))))
+            alpha_filtration(PointCloud(regular_tetrahedron(a))))
         pds = unsquared(diagrams)
         want1 = [(a / 2, a * INV_SQRT3)] * 3
         want2 = [(a * INV_SQRT3, a * math.sqrt(3.0 / 8.0))]
@@ -289,42 +281,6 @@ def test_criterion_6_betti():
     report(6, "hole counting", ok, elapsed, "; ".join(problems))
 
 
-def exhaustive_distance(a, b, kind, q=1.0):
-    ea, eb = sorted(a.essential_births), sorted(b.essential_births)
-    if len(ea) != len(eb):
-        return np.inf
-    ess_costs = [abs(x - y) for x, y in zip(ea, eb)]
-    a_pairs = a.finite_pairs
-    b_pairs = b.finite_pairs
-    m = len(a_pairs)
-    best = [np.inf]
-
-    def leaf(used, costs):
-        rest = [(d - b) / 2 for j, (b, d) in enumerate(b_pairs)
-                if j not in used]
-        all_costs = costs + rest + ess_costs
-        if kind == "bottleneck":
-            v = max(all_costs, default=0.0)
-        else:
-            v = sum(c ** q for c in all_costs) ** (1 / q)
-        best[0] = min(best[0], v)
-
-    def rec(i, used, costs):
-        if i == m:
-            leaf(used, costs)
-            return
-        b0, d0 = a_pairs[i]
-        rec(i + 1, used, costs + [(d0 - b0) / 2])
-        for j, (b1, d1) in enumerate(b_pairs):
-            if j in used:
-                continue
-            c = max(abs(b0 - b1), abs(d0 - d1))
-            rec(i + 1, used | {j}, costs + [c])
-
-    rec(0, frozenset(), [])
-    return best[0]
-
-
 def random_pd(rng):
     from phkit import PersistenceDiagram
     k = int(rng.integers(0, 7))
@@ -334,12 +290,6 @@ def random_pd(rng):
         if rng.random() < 0.3 else []
     return PersistenceDiagram.from_pairs(
         1, list(zip(births.tolist(), deaths.tolist())), ess)
-
-
-def same_value(x, y, tol):
-    if np.isinf(x) or np.isinf(y):
-        return np.isinf(x) and np.isinf(y)
-    return abs(x - y) <= tol
 
 
 def test_criterion_7_distance_metrics():
@@ -404,7 +354,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     t0 = time.monotonic()
     tetra_text = "\n".join(
         " ".join(f"{x:.17g}" for x in row)
-        for row in tetra_points(1.0)) + "\n"
+        for row in regular_tetrahedron(1.0)) + "\n"
     captured = []
     ok = True
     detail = ""

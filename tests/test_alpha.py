@@ -11,15 +11,7 @@ from phkit import (alpha, alpha_filtration, betti_numbers,
 from phkit.alpha import PointCloud
 from phkit.errors import DegenerateInput, DuplicatePoints
 
-
-def regular_tetrahedron(a=1.0):
-    s3 = np.sqrt(3.0)
-    return np.array([
-        [0.0, 0.0, 0.0],
-        [a, 0.0, 0.0],
-        [a / 2, a * s3 / 2, 0.0],
-        [a / 2, a * s3 / 6, a * np.sqrt(2.0 / 3.0)],
-    ])
+from conftest import regular_tetrahedron
 
 
 def octahedron():
@@ -409,3 +401,8 @@ def test_orthocenter_blocks_match_one_block(build, monkeypatch):
     for name in ("indptr", "indices"):
         assert np.array_equal(getattr(f.boundary_matrix(), name),
                               getattr(g.boundary_matrix(), name))
+
+
+def test_point_cloud_dim():
+    assert PointCloud(np.eye(3)[:, :2]).dim == 2
+    assert PointCloud(regular_tetrahedron()).dim == 3

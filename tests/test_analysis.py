@@ -11,46 +11,11 @@ from phkit.analysis import (BOTTLENECK_SIZE_CAP, GRID_CAP,
                             persistence_image, wasserstein_distance)
 from phkit.errors import BadParams, BadRange, TooLarge
 
+from conftest import exhaustive_distance, same_value
+
 
 def pd_of(pairs, essential=(), degree=1):
     return PersistenceDiagram.from_pairs(degree, pairs, essential)
-
-
-def exhaustive_distance(a, b, kind, q=1.0):
-    """Minimum over every matching with diagonal options, by enumeration."""
-    ea, eb = sorted(a.essential_births), sorted(b.essential_births)
-    if len(ea) != len(eb):
-        return np.inf
-    ess_costs = [abs(x - y) for x, y in zip(ea, eb)]
-    a_pairs = a.finite_pairs
-    b_pairs = b.finite_pairs
-    m = len(a_pairs)
-    best = [np.inf]
-
-    def leaf(used, costs):
-        rest = [(d - b) / 2 for j, (b, d) in enumerate(b_pairs)
-                if j not in used]
-        all_costs = costs + rest + ess_costs
-        if kind == "bottleneck":
-            v = max(all_costs, default=0.0)
-        else:
-            v = sum(c ** q for c in all_costs) ** (1 / q)
-        best[0] = min(best[0], v)
-
-    def rec(i, used, costs):
-        if i == m:
-            leaf(used, costs)
-            return
-        b0, d0 = a_pairs[i]
-        rec(i + 1, used, costs + [(d0 - b0) / 2])
-        for j, (b1, d1) in enumerate(b_pairs):
-            if j in used:
-                continue
-            c = max(abs(b0 - b1), abs(d0 - d1))
-            rec(i + 1, used | {j}, costs + [c])
-
-    rec(0, frozenset(), [])
-    return best[0]
 
 
 def random_diagram(rng, max_pairs=4, max_ess=1):
@@ -233,12 +198,6 @@ def test_essential_births_contribute():
     b = pd_of([], essential=[0.3])
     assert bottleneck_distance(a, b).value == 0.3
     assert wasserstein_distance(a, b, q=2).value == 0.3
-
-
-def same_value(x, y, tol=1e-12):
-    if np.isinf(x) or np.isinf(y):
-        return x == y
-    return abs(x - y) < tol
 
 
 def test_matches_exhaustive_enumeration():

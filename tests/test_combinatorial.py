@@ -182,3 +182,9 @@ def test_rips_requires_positive_cutoff():
         rips_filtration(d, 1, 0.0)
     with pytest.raises(BadParams):
         clique_filtration(WeightedGraph(1, []), -1)
+
+
+def test_weighted_graph_edges_and_repr():
+    g = WeightedGraph(4, [(2, 3, 0.5), (0, 1, 2.0), (1, 2, 1)])
+    assert g.edges == [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 0.5)]
+    assert repr(g) == "WeightedGraph(n=4, edges=3)"

@@ -401,3 +401,16 @@ def test_faces_precede_their_cofaces():
         col_of = np.repeat(np.arange(len(f)), np.diff(bm.indptr))
         assert len(bm.indices)
         assert (bm.indices < col_of).all()
+
+
+def test_complex_iterates_its_cells():
+    k = make_complex([(0, 1, 2)])
+    assert len(list(k)) == 7 and set(k) == k.cells
+
+
+def test_boundary_matrix_length_and_filtration_repr():
+    f = make_filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)])
+    assert len(f.boundary_matrix()) == len(f) == 3
+    assert repr(f) == "Filtration(kind='simplicial', cells=3, max_dim=1)"
+    assert repr(make_filtration([])) == \
+        "Filtration(kind='simplicial', cells=0, max_dim=-1)"

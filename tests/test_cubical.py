@@ -177,3 +177,10 @@ def test_bitmap_validation():
         Bitmap(np.array([np.inf, 1.0]))
     b = Bitmap(np.array([True, False]))
     assert b.binary
+
+
+def test_bitmap_repr():
+    assert repr(Bitmap(np.zeros((2, 3)))) == \
+        "Bitmap(shape=(2, 3), grayscale)"
+    assert repr(Bitmap(np.ones(4, dtype=bool))) == \
+        "Bitmap(shape=(4,), binary)"

@@ -13,6 +13,8 @@ from phkit import (Bitmap, DistanceMatrix, PersistenceDiagram,
                    weighted_alpha_filtration, write_diagram_file, PointCloud)
 from phkit.errors import ParseError
 
+from conftest import regular_tetrahedron
+
 
 def test_point_cloud_plain(tmp_path):
     p = tmp_path / "cloud.txt"
@@ -209,18 +211,8 @@ def test_reader_error_line_and_message(tmp_path, case):
     assert str(exc.value) == f"line {line}: {message}"
 
 
-def tetra_cloud(a=1.0):
-    pts = np.array([
-        [0, 0, 0],
-        [a, 0, 0],
-        [a / 2, a * np.sqrt(3) / 2, 0],
-        [a / 2, a * np.sqrt(3) / 6, a * np.sqrt(2.0 / 3.0)],
-    ])
-    return PointCloud(pts)
-
-
 def test_diagram_roundtrip_bit_exact(tmp_path):
-    _, diagrams = compute_persistence(alpha_filtration(tetra_cloud()))
+    _, diagrams = compute_persistence(alpha_filtration(PointCloud(regular_tetrahedron())))
     out = tmp_path / "t.diagram.json"
     write_diagram_file(out, diagrams, kind="pointcloud", squared=True,
                        input_path="tetra.txt")
@@ -239,7 +231,7 @@ def test_diagram_roundtrip_bit_exact(tmp_path):
 
 
 def test_diagram_write_deterministic(tmp_path):
-    _, diagrams = compute_persistence(alpha_filtration(tetra_cloud()))
+    _, diagrams = compute_persistence(alpha_filtration(PointCloud(regular_tetrahedron())))
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     for out in (a, b):
@@ -262,7 +254,7 @@ def test_writer_keeps_the_callers_order(tmp_path):
 
 
 def test_diagram_essential_preserved(tmp_path):
-    _, diagrams = compute_persistence(alpha_filtration(tetra_cloud()))
+    _, diagrams = compute_persistence(alpha_filtration(PointCloud(regular_tetrahedron())))
     out = tmp_path / "t.json"
     write_diagram_file(out, diagrams, kind="pointcloud", squared=True,
                        input_path="tetra.txt")
