@@ -2,18 +2,25 @@
 
 Distances allow matching points to their diagonal projections; essential
 pairs must agree in count between the two diagrams (otherwise the distance
-is infinite) and are matched among themselves by sorted birth. Bottleneck
-is solved by binary search over candidate costs with bipartite matching,
-Wasserstein by the Hungarian method on the diagonal-augmented cost matrix.
+is infinite) and are matched among themselves by sorted birth. Both
+distances form one dense m x n float64 matrix of point-to-point costs
+(8*m*n bytes), refused past DISTANCE_SIZE_CAP, and match on one graph
+(_augmented_graph) whose rows and columns take finite points in descending
+persistence, the order in which scipy's Hopcroft-Karp finished fastest.
 
-The bottleneck forms one dense m x n float64 matrix of point-to-point costs
-(8*m*n bytes). It drops every edge dearer than sending both its points to
-the diagonal, and keeps only candidates at or above a lower bound: the
-largest, over all points, of the cheapest edge or diagonal each point could
-take, and the essential cost. That bound is probed first; when it is the
-answer, one matching settles the search. Points enter the matching graph
-in descending persistence, the order in which scipy's Hopcroft-Karp
-finished fastest on the graphs measured.
+The bottleneck bisects candidate costs, each step one bipartite matching.
+It drops every edge dearer than sending both its points to the diagonal,
+and probes first a lower bound below which no candidate is kept: the
+largest, over all points, of the cheapest edge or diagonal each point
+could take, and the essential cost.
+
+The Wasserstein distance is one minimum-weight perfect matching (LAPJVsp)
+on costs^q. A cross edge is kept only where cost^q <= diag_a^q + diag_b^q,
+as a dearer one loses to sending both points to the diagonal. The solver
+reads a stored 0 as no edge, so zero weights, among them every projection
+pair, are stored as the smallest normal float. The value sums the true
+matched and essential costs^q in ascending order: it depends on the
+matched costs alone, not on the solver's row layout.
 """
 
 from __future__ import annotations
@@ -26,17 +33,12 @@ import numpy as np
 # images, which the CLI's plot and vectorize call, do not need it
 from .errors import BadParams, BadRange, TooLarge
 
-# the Wasserstein distance solves one dense (m+n) x (m+n) float64 assignment
-# problem: at this many points the cost matrix alone takes 8,000**2 * 8 B =
-# 512 MB, and the assignment's time grows with the cube of m+n
-WASSERSTEIN_SIZE_CAP = 8000
-
-# the bottleneck distance holds several arrays of m*n entries at once: the
-# cost matrix, the kept costs, their filtered copy, np.unique's sort and a
-# probe's edge lists. With every edge kept and probes over nearly all of
-# them, the traced peak was 90 B per entry at 500 and at 1,500 points per
-# side, so this cap (5,000 x 5,000) allows about 2.3 GB
-BOTTLENECK_SIZE_CAP = 25_000_000
+# both distances hold several arrays of m*n entries at once: with every
+# edge kept, the Wasserstein distance traced 112 B per entry at 500 to
+# 2,000 points per side, the bottleneck at most 90 B. This cap (about
+# 4,472 x 4,472) allows about 2.2 GB and admits any two diagrams of at
+# most 8,000 finite points together
+DISTANCE_SIZE_CAP = 20_000_000
 
 
 @dataclass
@@ -173,66 +175,69 @@ def _cross_cost(ab, ad, bb, bd):
                       np.abs(ad[:, None] - bd[None, :]))
 
 
-def _essential_part(a, b):
-    """Worst cost and index pairs of matching essentials by sorted birth."""
-    idx_a, idx_b = (np.flatnonzero(~pd.finite_mask) for pd in (a, b))
-    if len(idx_a) != len(idx_b):
-        return None, []
-    idx_a = idx_a[np.argsort(a.births[idx_a], kind="stable")]
-    idx_b = idx_b[np.argsort(b.births[idx_b], kind="stable")]
-    cost = float(np.abs(a.births[idx_a] - b.births[idx_b]).max(initial=0.0))
-    return cost, list(zip(idx_a.tolist(), idx_b.tolist()))
+def _matching_setup(a, b):
+    """(ess_cost, ess_matches, ia, ib, diag_a, diag_b, cross) of two diagrams.
 
-
-def _assignment_matching(ia, ib, rows, cols) -> list:
-    """Matching list of an assignment on the diagonal-augmented problem.
-
-    Rows are a's points then b's projections, columns b's points then a's
-    projections; a point assigned to a projection matches the diagonal.
+    Essentials match by sorted birth; ia and ib index the finite points in
+    descending persistence, and cross is their m x n _cross_cost. Returns
+    None when the essential counts differ, and raises TooLarge before cross
+    is made when m*n passes DISTANCE_SIZE_CAP.
     """
-    m, n = len(ia), len(ib)
-    out = []
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        if r < m and c < n:
-            out.append((int(ia[r]), int(ib[c])))
-        elif r < m:
-            out.append((int(ia[r]), None))
-        elif c < n:
-            out.append((None, int(ib[c])))
-    return out
-
-
-def bottleneck_distance(a, b) -> DiagramDistanceReport:
-    """Smallest achievable worst edge over diagonal-augmented matchings.
-
-    Raises TooLarge when m*n, the product of the two diagrams' numbers of
-    finite points, passes BOTTLENECK_SIZE_CAP.
-    """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
     if a.degree != b.degree:
         raise ValueError("diagrams compare within one degree")
-    ess_cost, ess_matches = _essential_part(a, b)
-    if ess_cost is None:
-        return DiagramDistanceReport(float("inf"))
-    # finite points by descending persistence: on degree-0 diagrams, which
-    # come sorted by death, scipy's Hopcroft-Karp ran up to 30 times slower
-    # when the points that can least afford the diagonal came last
+    ea, eb = (np.flatnonzero(~pd.finite_mask) for pd in (a, b))
+    if len(ea) != len(eb):
+        return None
+    ea = ea[np.argsort(a.births[ea], kind="stable")]
+    eb = eb[np.argsort(b.births[eb], kind="stable")]
+    ess_cost = float(np.abs(a.births[ea] - b.births[eb]).max(initial=0.0))
     ia, ib = (np.flatnonzero(pd.finite_mask) for pd in (a, b))
     ia = ia[np.argsort(a.births[ia] - a.deaths[ia], kind="stable")]
     ib = ib[np.argsort(b.births[ib] - b.deaths[ib], kind="stable")]
     ab, ad = a.births[ia], a.deaths[ia]
     bb, bd = b.births[ib], b.deaths[ib]
     m, n = len(ab), len(bb)
-    if m * n > BOTTLENECK_SIZE_CAP:
-        raise TooLarge(f"bottleneck distance accepts at most "
-                       f"{BOTTLENECK_SIZE_CAP} point pairs (finite points "
-                       f"of one diagram times the other's), got {m} x {n}")
+    if m * n > DISTANCE_SIZE_CAP:
+        raise TooLarge(f"diagram distances accept at most {DISTANCE_SIZE_CAP}"
+                       f" pairs of finite points, got {m} x {n}")
+    return (ess_cost, list(zip(ea.tolist(), eb.tolist())), ia, ib,
+            (ad - ab) / 2.0, (bd - bb) / 2.0, _cross_cost(ab, ad, bb, bd))
 
-    diag_a = (ad - ab) / 2.0
-    diag_b = (bd - bb) / 2.0
-    cross = _cross_cost(ab, ad, bb, bd)
+
+def _augmented_graph(m, n, ii, jj, ka, kb, weights):
+    """CSR graph: rows a's points then b's projections, columns b's points
+    then a's. Edges, weighted in this order by weights (or one for all):
+    ii to jj, ka and kb to their own projections, and the projection pair
+    (m + jj, n + ii) of each cross edge."""
+    from scipy.sparse import csr_array
+
+    rows = np.concatenate([ii, ka, m + kb, m + jj])
+    cols = np.concatenate([jj, n + ka, kb, n + ii])
+    return csr_array((np.broadcast_to(weights, rows.shape), (rows, cols)),
+                     shape=(m + n, n + m))
+
+
+def _assignment_matching(ia, ib, row_of) -> list:
+    """Matching list of a perfect matching, row_of[c] matched to column c;
+    a point matched to a projection matches the diagonal."""
+    m, n = len(ia), len(ib)
+    return [(int(ia[r]) if r < m else None, int(ib[c]) if c < n else None)
+            for c, r in enumerate(row_of.tolist()) if r < m or c < n]
+
+
+def bottleneck_distance(a, b) -> DiagramDistanceReport:
+    """Smallest achievable worst edge over diagonal-augmented matchings.
+
+    Raises TooLarge when m*n, the product of the two diagrams' numbers of
+    finite points, passes DISTANCE_SIZE_CAP.
+    """
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    setup = _matching_setup(a, b)
+    if setup is None:
+        return DiagramDistanceReport(float("inf"))
+    ess_cost, ess_matches, ia, ib, diag_a, diag_b, cross = setup
+    m, n = cross.shape
     # an edge dearer than sending both its points to the diagonal is never
     # needed: drop it from the candidates and from every step's graph
     cross[(cross > diag_a[:, None]) & (cross > diag_b)] = np.inf
@@ -249,18 +254,13 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
     candidates = np.unique(costs[costs >= lower])
 
     def matching_at(c):
-        # left: a-points then the b-points' diagonal projections; right:
-        # b-points then the a-points' projections. A point may take only its
-        # own projection, and projections pair where their points could:
-        # this has a perfect matching exactly when the graph with every
-        # projection pair allowed has one, with O(edges) work per step.
+        # projections pair where their points could: this has a perfect
+        # matching exactly when the graph with every projection pair
+        # allowed has one, with O(edges) work per step
         ii, jj = np.nonzero(cross <= c)
         ka = np.flatnonzero(diag_a <= c)
         kb = np.flatnonzero(diag_b <= c)
-        rows = np.concatenate([ii, ka, m + kb, m + jj])
-        cols = np.concatenate([jj, n + ka, kb, n + ii])
-        graph = csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                          shape=(m + n, n + m))
+        graph = _augmented_graph(m, n, ii, jj, ka, kb, np.int8(1))
         match_r = maximum_bipartite_matching(graph, perm_type="row")
         return int((match_r >= 0).sum()), match_r
 
@@ -277,44 +277,43 @@ def bottleneck_distance(a, b) -> DiagramDistanceReport:
             lo_i = mid + 1
         mid = (lo_i + hi_i) // 2
     # the search always probes its answer, so best_match is perfect there
-    matching = ess_matches + _assignment_matching(
-        ia, ib, best_match, np.arange(len(best_match)))
+    matching = ess_matches + _assignment_matching(ia, ib, best_match)
     return DiagramDistanceReport(float(best), matching)
 
 
 def wasserstein_distance(a, b, q: float = 1.0) -> DiagramDistanceReport:
     """Minimal (sum of cost^q)^(1/q) over diagonal-augmented matchings.
 
-    Raises TooLarge when the two diagrams have more than
-    WASSERSTEIN_SIZE_CAP finite points together.
+    Raises TooLarge when m*n, the product of the two diagrams' numbers of
+    finite points, passes DISTANCE_SIZE_CAP.
     """
-    from scipy.optimize import linear_sum_assignment
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    if a.degree != b.degree:
-        raise ValueError("diagrams compare within one degree")
     q = float(q)
     if not 1 <= q < np.inf:
         raise BadParams("q must be finite and >= 1")
-    ess_cost, ess_matches = _essential_part(a, b)
-    if ess_cost is None:
+    setup = _matching_setup(a, b)
+    if setup is None:
         return DiagramDistanceReport(float("inf"))
-    ia, ib = (np.flatnonzero(pd.finite_mask) for pd in (a, b))
-    ab, ad = a.births[ia], a.deaths[ia]
-    bb, bd = b.births[ib], b.deaths[ib]
-    m, n = len(ab), len(bb)
-    size = m + n
-    if size > WASSERSTEIN_SIZE_CAP:
-        raise TooLarge(f"Wasserstein distance accepts at most "
-                       f"{WASSERSTEIN_SIZE_CAP} finite points in the two "
-                       f"diagrams together, got {size}")
-    total = 0.0
-    for i, j in ess_matches:
-        total += abs(float(a.births[i]) - float(b.births[j])) ** q
-    cost = np.zeros((size, size))
-    cost[:m, :n] = _cross_cost(ab, ad, bb, bd) ** q
-    cost[:m, n:] = (((ad - ab) / 2.0) ** q)[:, None]
-    cost[m:, :n] = (((bd - bb) / 2.0) ** q)[None, :]
-    rows, cols = linear_sum_assignment(cost)
-    total += float(cost[rows, cols].sum())
-    matching = ess_matches + _assignment_matching(ia, ib, rows, cols)
-    return DiagramDistanceReport(total ** (1.0 / q), matching)
+    _, ess_matches, ia, ib, diag_a, diag_b, cross = setup
+    m, n = cross.shape
+    cross **= q
+    diag_a **= q
+    diag_b **= q
+    # keep the edges an optimum may need; a stored 0 would be no edge
+    ii, jj = np.nonzero(cross <= diag_a[:, None] + diag_b)
+    weights = np.concatenate([cross[ii, jj], diag_a, diag_b,
+                              np.zeros(len(ii))])
+    weights[weights == 0] = np.finfo(np.float64).tiny
+    col_of = min_weight_full_bipartite_matching(_augmented_graph(
+        m, n, ii, jj, np.arange(m), np.arange(n), weights))[1]
+    a_col, b_diag_col = col_of[:m], col_of[m:]
+    to_b = np.flatnonzero(a_col < n)
+    # true costs^q, ascending: the sum is the same for every row layout
+    total = np.sort(np.concatenate([
+        [abs(float(a.births[i]) - float(b.births[j])) ** q
+         for i, j in ess_matches],
+        cross[to_b, a_col[to_b]], diag_a[a_col >= n],
+        diag_b[b_diag_col[b_diag_col < n]]])).sum()
+    matching = ess_matches + _assignment_matching(ia, ib, np.argsort(col_of))
+    return DiagramDistanceReport(float(total) ** (1.0 / q), matching)

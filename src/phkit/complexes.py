@@ -296,7 +296,7 @@ def _lookup_facets(kind, tables):
     facets = {}
     for d in sorted(tables):
         tab = tables[d]
-        if d == 0 or not len(tab):
+        if d == 0:
             continue
         if kind == "simplicial":
             ids = np.stack([np.delete(tab, i, axis=1) for i in range(d + 1)],

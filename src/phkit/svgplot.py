@@ -26,9 +26,8 @@ def _color(t: float) -> str:
 
 
 def _scale_counts(counts: np.ndarray, log: bool) -> np.ndarray:
-    peak = counts.max()
-    if peak <= 0:
-        return np.zeros_like(counts, dtype=np.float64)
+    """Shade in [0, 1] of each drawn (nonzero) count, the largest at 1."""
+    peak = counts.max(initial=0)
     if log:
         return np.log1p(counts) / np.log1p(peak)
     return counts / peak
@@ -46,14 +45,15 @@ def histogram_svg(hist, *, log: bool = False) -> str:
         '</linearGradient></defs>',
     ]
     cell = _SIZE / hist.bins
-    shade = _scale_counts(hist.counts, log)
     # np.nonzero visits the drawn bins in row-major order
-    for bi, di in zip(*np.nonzero(hist.counts)):
+    drawn = np.nonzero(hist.counts)
+    filled = hist.counts[drawn]
+    for bi, di, t in zip(*drawn, _scale_counts(filled, log)):
         x = _X0 + bi * cell
         y = _Y0 + _SIZE - (di + 1) * cell
         parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell)}" '
-            f'height="{_fmt(cell)}" fill="{_color(shade[bi, di])}"/>')
+            f'height="{_fmt(cell)}" fill="{_color(t)}"/>')
     x1, y1 = _X0, _Y0 + _SIZE
     x2, y2 = _X0 + _SIZE, _Y0
     parts.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
@@ -80,7 +80,7 @@ def histogram_svg(hist, *, log: bool = False) -> str:
     parts.append(f'<rect x="{_fmt(_LEGEND_X)}" y="{_fmt(_Y0)}" '
                  f'width="{_fmt(_LEGEND_W)}" height="{_fmt(_SIZE)}" '
                  'fill="url(#ramp)" stroke="#000000" stroke-width="0.5"/>')
-    peak = int(hist.counts.max())
+    peak = int(filled.max(initial=0))
     legend_title = "count (log)" if log else "count"
     parts.append(f'<text x="{_fmt(_LEGEND_X + _LEGEND_W + 6)}" '
                  f'y="{_fmt(_Y0 + 10)}" font-family="monospace" '

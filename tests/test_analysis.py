@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from phkit import PersistenceDiagram, alpha_filtration, compute_persistence
-from phkit.analysis import (BOTTLENECK_SIZE_CAP, GRID_CAP,
-                            WASSERSTEIN_SIZE_CAP, bottleneck_distance,
-                            histogram,
-                            persistence_image, wasserstein_distance)
+from phkit.analysis import (DISTANCE_SIZE_CAP, GRID_CAP, bottleneck_distance,
+                            histogram, persistence_image,
+                            wasserstein_distance)
 from phkit.errors import BadParams, BadRange, TooLarge
 
 from conftest import exhaustive_distance, same_value
@@ -296,22 +295,10 @@ def test_wasserstein_rejects_non_finite_q(q):
         wasserstein_distance(a, b, q=q)
 
 
-def test_wasserstein_above_size_cap_is_too_large(monkeypatch):
-    def no_assignment(cost):
-        raise AssertionError("the cost matrix was built past the cap")
-
-    monkeypatch.setattr("scipy.optimize.linear_sum_assignment",
-                        no_assignment)
-    half = WASSERSTEIN_SIZE_CAP // 2
-    births = np.arange(half + 1) / half
-    a = pd_of(list(zip(births, births + 0.5)))
-    b = pd_of(list(zip(births[:half], births[:half] + 0.25)))
-    assert len(a) + len(b) == WASSERSTEIN_SIZE_CAP + 1
-    with pytest.raises(TooLarge, match=f"at most {WASSERSTEIN_SIZE_CAP} "):
-        wasserstein_distance(a, b)
-
-
-def test_bottleneck_above_size_cap_is_too_large(monkeypatch):
+@pytest.mark.parametrize("distance", [bottleneck_distance,
+                                      wasserstein_distance],
+                         ids=["bottleneck", "wasserstein"])
+def test_distance_above_size_cap_is_too_large(monkeypatch, distance):
     def no_cross_cost(*args):
         raise AssertionError("the cost matrix was built past the cap")
 
@@ -319,9 +306,110 @@ def test_bottleneck_above_size_cap_is_too_large(monkeypatch):
     births = np.arange(60_000) / 60_000
     a = PersistenceDiagram(1, births, births + 0.5)
     b = PersistenceDiagram(1, births, births + 0.25)
-    assert len(a) * len(b) > BOTTLENECK_SIZE_CAP
-    with pytest.raises(TooLarge, match=f"at most {BOTTLENECK_SIZE_CAP} "):
-        bottleneck_distance(a, b)
+    assert len(a) * len(b) > DISTANCE_SIZE_CAP
+    with pytest.raises(TooLarge, match=f"at most {DISTANCE_SIZE_CAP} "):
+        distance(a, b)
+
+
+def test_size_cap_admits_the_old_point_cap():
+    # the dense assignment refused more than 8,000 finite points together
+    assert 4000 * 4000 <= DISTANCE_SIZE_CAP
+    births = np.arange(8000) / 8000
+    a = PersistenceDiagram(1, births, births + 0.5)
+    b = pd_of([(0.0, 0.25)])
+    rep = wasserstein_distance(a, b)
+    # a's first point takes b's at 0.25, the rest go to the diagonal
+    assert rep.value == 2000.0
+    assert (0, 0) in rep.matching
+    assert matching_cost(a, b, rep.matching, 1.0) == rep.value
+
+
+def dense_wasserstein(a, b, q):
+    """Wasserstein distance of the dense (m+n) x (m+n) assignment: every
+    point may take any projection of the other side, and projections pair
+    freely at cost 0."""
+    from scipy.optimize import linear_sum_assignment
+
+    ea, eb = sorted(a.essential_births), sorted(b.essential_births)
+    if len(ea) != len(eb):
+        return np.inf
+    pa = np.array(a.finite_pairs).reshape(-1, 2)
+    pb = np.array(b.finite_pairs).reshape(-1, 2)
+    m, n = len(pa), len(pb)
+    cost = np.zeros((m + n, m + n))
+    cost[:m, :n] = np.abs(pa[:, None, :] - pb[None, :, :]).max(
+        axis=2, initial=0.0) ** q
+    cost[:m, n:] = (((pa[:, 1] - pa[:, 0]) / 2) ** q)[:, None]
+    cost[m:, :n] = (((pb[:, 1] - pb[:, 0]) / 2) ** q)[None, :]
+    rows, cols = linear_sum_assignment(cost)
+    total = cost[rows, cols].sum() + sum(abs(x - y) ** q
+                                         for x, y in zip(ea, eb))
+    return total ** (1 / q)
+
+
+def matching_cost(a, b, matching, q):
+    """(sum of cost^q)^(1/q) of a matching list, after checking that it
+    lists every point of both diagrams once and pairs essentials only with
+    essentials."""
+    assert sorted(i for i, _ in matching if i is not None) == \
+        list(range(len(a)))
+    assert sorted(j for _, j in matching if j is not None) == \
+        list(range(len(b)))
+    costs = []
+    for i, j in matching:
+        if j is None:
+            assert np.isfinite(a.deaths[i])
+            costs.append((a.deaths[i] - a.births[i]) / 2)
+        elif i is None:
+            assert np.isfinite(b.deaths[j])
+            costs.append((b.deaths[j] - b.births[j]) / 2)
+        else:
+            assert np.isfinite(a.deaths[i]) == np.isfinite(b.deaths[j])
+            death_gap = (abs(a.deaths[i] - b.deaths[j])
+                         if np.isfinite(a.deaths[i]) else 0.0)
+            costs.append(max(abs(a.births[i] - b.births[j]), death_gap))
+    return sum(c ** q for c in costs) ** (1 / q)
+
+
+def seeded_pairs(rng, count):
+    """Diagram pairs of up to 40 finite points: on a coarse grid (ties,
+    coincident points, zero persistence) or uniform; identical, against an
+    empty finite part on either side, or drawn apart."""
+    def draw(k, ess, grid):
+        if grid:
+            births = rng.integers(0, 8, k) / 4
+            deaths = births + rng.integers(0, 8, k) / 4
+        else:
+            births = rng.random(k)
+            deaths = births + rng.random(k)
+        return pd_of(list(zip(births, deaths)), rng.random(ess))
+
+    for t in range(count):
+        grid = t % 2 == 0
+        ess = int(rng.integers(0, 3))
+        a = draw(int(rng.integers(0, 41)), ess, grid)
+        mode = t % 5
+        if mode == 0:
+            yield a, a
+        elif mode == 1:
+            yield a, draw(0, ess, grid)
+        elif mode == 2:
+            yield draw(0, ess, grid), a
+        else:
+            yield a, draw(int(rng.integers(0, 41)), ess, grid)
+
+
+def test_wasserstein_matches_dense_assignment():
+    rng = np.random.default_rng(23)
+    for a, b in seeded_pairs(rng, 500):
+        for q in (1.0, 2.0, 3.5):
+            rep = wasserstein_distance(a, b, q)
+            want = dense_wasserstein(a, b, q)
+            assert rep.value == want or \
+                abs(rep.value - want) <= 1e-12 * want
+            got = matching_cost(a, b, rep.matching, q)
+            assert got == rep.value or \
+                abs(got - rep.value) <= 1e-12 * rep.value
 
 
 def scan_bottleneck(a, b):

@@ -304,29 +304,16 @@ def test_distance_between_tetra_and_octa(tmp_path):
     assert float(r.stdout) == pytest.approx(expected, abs=1e-12)
 
 
-def test_wasserstein_past_size_cap_exits_3(tmp_path):
-    # about 2.6 degree-1 pairs per point: compared with itself the file
-    # has more finite points than the Wasserstein size cap
-    pts = np.random.default_rng(0).random((2000, 3))
-    np.savetxt(tmp_path / "cloud.txt", pts)
-    r = run("compute", "cloud.txt", "--kind", "pointcloud", cwd=tmp_path)
-    assert r.returncode == 0, r.stderr
-    pd1 = read_diagram_file(tmp_path / "cloud.diagram.json").diagram(1)
-    assert pd1.finite_mask.sum() > 4000
-    r = run("distance", "cloud.diagram.json", "cloud.diagram.json",
-            "--degree", "1", "--metric", "wasserstein", cwd=tmp_path)
-    assert r.returncode == 3
-    assert "TooLarge" in r.stderr
-
-
-def test_bottleneck_past_size_cap_exits_3(tmp_path):
+@pytest.mark.parametrize("metric", ["bottleneck", "wasserstein"])
+def test_distance_past_size_cap_exits_3(tmp_path, metric):
     births = np.arange(60_000) / 60_000
     for name, length in (("a.json", 0.5), ("b.json", 0.25)):
         write_diagram_file(
             tmp_path / name,
             [PersistenceDiagram(1, births, births + length)],
             kind="pointcloud", squared=False, input_path="x.txt")
-    r = run("distance", "a.json", "b.json", "--degree", "1", cwd=tmp_path)
+    r = run("distance", "a.json", "b.json", "--degree", "1", "--metric",
+            metric, cwd=tmp_path)
     assert r.returncode == 3
     assert "TooLarge" in r.stderr and "Traceback" not in r.stderr
 

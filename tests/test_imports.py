@@ -53,7 +53,7 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy.sparse"))))
 
 STAR_IMPORT = """
 import phkit
-assert phkit.analysis.WASSERSTEIN_SIZE_CAP > 0
+assert phkit.analysis.DISTANCE_SIZE_CAP > 0
 assert set(phkit._EXPORTS) <= set(dir(phkit))
 assert all(getattr(phkit, m).__name__ == f"phkit.{m}" for m in phkit._EXPORTS)
 namespace = {}

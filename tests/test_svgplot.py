@@ -63,6 +63,8 @@ def test_counts_drive_shading():
 
 def reference_bin_rects(hist, log):
     """The bin rects as a scan of every bin renders them, skipping zeros."""
+    if not hist.counts.any():
+        return []
     cell = _SIZE / hist.bins
     shade = _scale_counts(hist.counts, log)
     rects = []
