@@ -21,11 +21,18 @@ from functools import reduce
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
-from .complexes import Filtration, SimplicialComplex, _assemble, _row_keys
-from .errors import DegenerateInput, DuplicatePoints
+from .complexes import (CELL_CAP, Filtration, SimplicialComplex, _assemble,
+                        _row_keys)
+from .errors import DegenerateInput, DuplicatePoints, TooLarge
 
 DUPLICATE_TOL = 1e-12
 _GABRIEL_REL_TOL = 1e-12
+# cells per top simplex of a Delaunay complex, by dimension: the most seen
+# on uniform clouds of 200 to 20,000 points (3.00-3.01 in the plane,
+# 4.30-4.41 in space). A triangulation whose top simplices would make more
+# than CELL_CAP cells at this rate is refused before any face is made: in
+# space that is about 4.5M tetrahedra, or 680k uniform points
+_CELLS_PER_TOP = {2: 3.01, 3: 4.41}
 
 
 @dataclass
@@ -341,6 +348,10 @@ def _build_alpha(cloud: PointCloud, weights) -> Filtration:
         top, info = _top_simplices_unweighted(points)
     else:
         top, info = _top_simplices_weighted(points, weights)
+    cells = len(top) * _CELLS_PER_TOP[dim]
+    if cells > CELL_CAP:
+        raise TooLarge(f"{len(top)} top simplices make about {cells:.0f} "
+                       f"cells; filtrations hold at most {CELL_CAP}")
     # no local holds the values or incidences: _assemble frees each once
     # it is used
     return _assemble("simplicial", *_alpha_tables(points, weights, top),
@@ -355,7 +366,11 @@ def delaunay(points) -> SimplicialComplex:
 
 
 def alpha_filtration(points) -> Filtration:
-    """Alpha filtration with squared-radius values; vertices at 0."""
+    """Alpha filtration with squared-radius values; vertices at 0.
+
+    Raises TooLarge, after Qhull and before any face is made, when the
+    triangulation would make more than complexes.CELL_CAP cells.
+    """
     cloud = _as_cloud(points)
     return _build_alpha(cloud, np.zeros(len(cloud)))
 
@@ -364,7 +379,8 @@ def weighted_alpha_filtration(points, weights=None) -> Filtration:
     """Weighted alpha filtration; vertex i enters at -weights[i].
 
     Points hidden by the power diagram are absent from the filtration and
-    listed in the result's info["hidden_points"].
+    listed in the result's info["hidden_points"]. Raises TooLarge as
+    alpha_filtration does.
     """
     cloud = _as_cloud(points, weights)
     if cloud.weights is None:

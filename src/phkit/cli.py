@@ -153,12 +153,17 @@ def pairs(file, degree):
 
 
 def _default_range(pd):
-    finite = pd.finite_pairs
-    values = [v for bd in finite for v in bd] + pd.essential_births
-    if not values:
+    finite = pd.finite_mask
+    values = np.concatenate((np.column_stack(
+        (pd.births[finite], pd.deaths[finite])).ravel(), pd.births[~finite]))
+    if not len(values):
         return 0.0, 1.0
-    lo = min(0.0, min(values))
-    hi = max(values)
+    # as min() and max() over the values in this order: a NaN counts only
+    # when it comes first
+    nan = np.isnan(values)
+    values = values[:1] if nan[0] else values[~nan]
+    lo = min(0.0, float(values.min()))
+    hi = float(values.max())
     span = hi - lo
     if span <= 0:
         span = 1.0
@@ -241,6 +246,13 @@ def _cell_text(cell) -> str:
     return f"{anchor} {extent}"
 
 
+def _nearest(births, deaths, target) -> int:
+    """Index of the pair with the least (squared distance to target, birth,
+    death); of tied pairs, the first."""
+    dist = (births - target[0]) ** 2 + (deaths - target[1]) ** 2
+    return int(np.lexsort((deaths, births, dist))[0])
+
+
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--degree", type=int, required=True)
@@ -257,24 +269,23 @@ def invert(file, degree, nearest, tighten):
     that file must carry provenance and the input must still be readable.
     """
     df, pd = _load_degree(file, degree)
-    finite = pd.finite_pairs
-    if not finite:
+    births, deaths = pd.births[pd.finite_mask], pd.deaths[pd.finite_mask]
+    if not len(births):
         raise NoPairs(f"degree {degree} has no finite pairs")
     prov = df.provenance.get(degree)
     meta = df.metadata
     if prov is None or not meta.get("input"):
         raise MissingProvenance("diagram file was written without provenance")
 
-    tb, td = nearest
-    _, b, d, k = min(((b - tb) ** 2 + (d - td) ** 2, b, d, k)
-                     for k, (b, d) in enumerate(finite))
+    k = _nearest(births, deaths, nearest)
+    b, d = float(births[k]), float(deaths[k])
     # keep only the chosen pair's cells, so the parsed document is freed
     # before the filtration is built
     try:
         rows = prov["birth_cells"][k], prov["death_cells"][k]
     except (IndexError, KeyError, TypeError):
         rows = None
-    del df, pd, finite, prov
+    del df, pd, births, deaths, prov
 
     kind = meta.get("kind")
     params = meta.get("params", {})

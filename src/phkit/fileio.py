@@ -4,15 +4,20 @@ Diagram files are single JSON documents with a version field, per-degree
 finite pairs and essential births, optional cell provenance, and the
 metadata needed to redo the computation (input path, kind, parameters).
 Floats survive a write/read round trip bit-exactly via repr formatting.
-Each reader imports its input class when called (alpha and cubical load
-scipy), so reading a diagram file loads no builder module.
+A file in the writer's byte layout is read one degree at a time: its
+header is parsed at once, and a degree's arrays when that degree is asked
+for. A file in any other layout is parsed whole. Each reader imports its
+input class when called (alpha and cubical load scipy), so reading a
+diagram file loads no builder module.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -274,8 +279,126 @@ def write_diagram_file(path, diagrams, *, kind, squared, input_path,
         fh.write("\n }\n}\n" if by_degree else "}\n}\n")
 
 
+# the writer's byte layout is json.dump(doc, indent=1)'s: the header, then
+# one block per degree, each holding its arrays at indent 3. Every
+# landmark starts with a raw newline, which json never writes inside a
+# string, and an array or object at indent 3 ends at the first newline
+# followed by three spaces and its closing bracket
+_DEGREES = b',\n "degrees": {'
+_BLOCK = re.compile(rb'(,?)\n  "(-?[0-9]+)": \{\n   "pairs": ')
+_OPTIONAL = {"essential": b',\n   "essential": ',
+             "provenance": b',\n   "provenance": '}
+_OFF_LAYOUT = "not in the writer's layout"
+_BAD_DEGREES = "degrees must map each degree to its pairs and essential births"
+
+
+def _value_end(data: bytes, pos: int) -> int:
+    """End of the array or object that opens at pos, at indent 3.
+
+    Raises ValueError when the bytes there leave the writer's layout.
+    """
+    close = {b"[": b"]", b"{": b"}"}.get(data[pos:pos + 1])
+    if close is None:
+        raise ValueError(_OFF_LAYOUT)
+    if data.startswith(close, pos + 1):
+        return pos + 2
+    end = data.find(b"\n   " + close, pos)
+    if end < 0 or data[pos + 1:pos + 2] != b"\n":
+        raise ValueError(_OFF_LAYOUT)
+    return end + 5
+
+
+def _layout_document(data: bytes) -> dict:
+    """The document in data, its degrees' entries left as _Entry slices.
+
+    Raises ValueError unless data has the writer's layout, with its
+    degrees in ascending order.
+    """
+    at = data.find(_DEGREES)
+    if at < 0 or not data.startswith(b"{\n"):
+        raise ValueError(_OFF_LAYOUT)
+    doc = json.loads(data[:at] + b"\n}")
+    pos, degrees = at + len(_DEGREES), {}
+    while ((block := _BLOCK.match(data, pos))
+           and (block[1] == b",") == bool(degrees)):
+        degree = int(block[2])
+        if degrees and degree <= max(degrees):
+            raise ValueError("degrees out of order")
+        pos = _value_end(data, block.end())
+        spans = {"pairs": (block.end(), pos)}
+        for key, landmark in _OPTIONAL.items():
+            if data.startswith(landmark, pos):
+                start = pos + len(landmark)
+                pos = _value_end(data, start)
+                spans[key] = (start, pos)
+        if not data.startswith(b"\n  }", pos):
+            raise ValueError(_OFF_LAYOUT)
+        pos += 4
+        degrees[degree] = _Entry(data, spans)
+    if data[pos:] != (b"\n }\n}\n" if degrees else b"}\n}\n"):
+        raise ValueError(_OFF_LAYOUT)
+    return {**doc, "degrees": degrees}
+
+
+class _Entry:
+    """A degree's object in a file of the writer's layout: each value is
+    parsed from its slice of the file when read."""
+
+    def __init__(self, data: bytes, spans: dict):
+        self._data = data
+        self._spans = spans
+
+    def __contains__(self, key):
+        return key in self._spans
+
+    def __getitem__(self, key):
+        start, end = self._spans[key]
+        return json.loads(self._data[start:end])
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def whole(self) -> "DiagramFile":
+        """The file this entry is a slice of, parsed whole."""
+        return _parse_document(self._data)
+
+
+class _Provenance(Mapping):
+    """Degree -> provenance object, for each degree whose entry has one.
+
+    It holds the entries, not the DiagramFile: with no reference cycle,
+    dropping the DiagramFile frees the file's data at once.
+    """
+
+    def __init__(self, entries: dict):
+        self._entries = entries
+
+    def __getitem__(self, degree):
+        entry = self._entries.get(degree, {})
+        if "provenance" not in entry:
+            raise KeyError(degree)
+        try:
+            return entry["provenance"]
+        except ValueError:  # a slice that is not JSON
+            return entry.whole().provenance[degree]
+
+    def __iter__(self):
+        return (degree for degree, entry in self._entries.items()
+                if "provenance" in entry)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
 class DiagramFile:
-    """Parsed diagram document: diagrams plus computation metadata."""
+    """Diagram document: metadata, and each degree's pairs and provenance.
+
+    A parsed document has every degree checked here. Entries that are
+    _Entry slices of a file are parsed when their degree is first asked
+    for, and one that does not parse sends its whole file through
+    _parse_document, which then reports what a whole-document read
+    reports.
+    """
 
     def __init__(self, doc: dict):
         if not isinstance(doc, dict) or doc.get("format") != DIAGRAM_FORMAT:
@@ -285,33 +408,54 @@ class DiagramFile:
         self.metadata = doc.get("metadata", {})
         if not isinstance(self.metadata, dict):
             raise ParseError(0, "metadata must be a JSON object")
-        self.degrees = {}
-        self.provenance = {}
         try:
-            for key, entry in doc.get("degrees", {}).items():
-                degree = int(key)
-                self.degrees[degree] = PersistenceDiagram.from_pairs(
-                    degree, entry.get("pairs", []), entry.get("essential", []))
-                if "provenance" in entry:
-                    self.provenance[degree] = entry["provenance"]
+            self._entries = {int(key): entry for key, entry
+                             in doc.get("degrees", {}).items()}
         except (AttributeError, TypeError, ValueError):
-            raise ParseError(0, "degrees must map each degree to its "
-                             "pairs and essential births") from None
+            raise ParseError(0, _BAD_DEGREES) from None
+        self._diagrams = {}
+        self.provenance = _Provenance(self._entries)
+        for degree, entry in self._entries.items():
+            if not isinstance(entry, _Entry):
+                self.diagram(degree)
 
     @property
     def max_degree(self) -> int:
-        return max(self.degrees, default=-1)
+        return max(self._entries, default=-1)
 
     def diagram(self, degree: int) -> PersistenceDiagram:
-        if degree in self.degrees:
-            return self.degrees[degree]
-        return PersistenceDiagram.from_pairs(degree, [], [])
+        if degree not in self._diagrams:
+            entry = self._entries.get(degree, {})
+            try:
+                self._diagrams[degree] = PersistenceDiagram.from_pairs(
+                    degree, entry.get("pairs", []), entry.get("essential", []))
+            except (AttributeError, TypeError, ValueError):
+                if isinstance(entry, _Entry):
+                    return entry.whole().diagram(degree)
+                raise ParseError(0, _BAD_DEGREES) from None
+        return self._diagrams[degree]
 
 
-def read_diagram_file(path) -> DiagramFile:
-    with open(path, "r", encoding="utf-8") as fh:
+def _parse_document(data: bytes) -> DiagramFile:
+    """data parsed whole, as json.load parses it from a text file."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, exc.msg) from None
+    return DiagramFile(doc)
+
+
+def read_diagram_file(path) -> DiagramFile:
+    """The diagram file at path.
+
+    A file in the writer's layout has only its header parsed here, and
+    each degree when it is asked for; any other file is parsed whole.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = _layout_document(data)
+    except ValueError:
+        return _parse_document(data)
     return DiagramFile(doc)

@@ -64,6 +64,18 @@ from .complexes import (BoundaryMatrix, Filtration, SimplicialComplex,
 from .errors import EssentialPair, NotDegreeOne
 
 
+def _floats(values, row_shape) -> np.ndarray:
+    """values as a float64 array of items of row_shape, numbers as float()
+    reads them; raises ValueError or TypeError for items of other shapes."""
+    a = np.array(list(values))
+    if a.dtype == object:  # float() refuses the None numpy would read as NaN
+        a = np.array([float(v) for v in a.ravel()]).reshape(a.shape)
+    if a.shape[1:] != row_shape and a.shape != (0,):
+        raise ValueError(f"expected items of shape {row_shape}, "
+                         f"got an array of shape {a.shape}")
+    return a.astype(np.float64, copy=False).reshape((len(a),) + row_shape)
+
+
 @dataclass
 class PersistenceDiagram:
     """Birth/death pairs of one degree; deaths of +inf mark essential classes.
@@ -82,13 +94,17 @@ class PersistenceDiagram:
 
     @classmethod
     def from_pairs(cls, degree, pairs, essential_births=()) -> "PersistenceDiagram":
-        finite = [(float(b), float(d)) for b, d in pairs]
-        essential = [float(b) for b in essential_births]
-        births = [b for b, _ in finite] + essential
-        deaths = [d for _, d in finite] + [np.inf] * len(essential)
+        """Diagram of finite (birth, death) pairs and essential births.
+
+        Raises ValueError or TypeError unless every pair is two numbers and
+        every essential birth one.
+        """
+        finite = _floats(pairs, (2,))
+        essential = _floats(essential_births, ())
         pd = cls(degree=int(degree),
-                 births=np.asarray(births, dtype=np.float64),
-                 deaths=np.asarray(deaths, dtype=np.float64))
+                 births=np.concatenate((finite[:, 0], essential)),
+                 deaths=np.concatenate((finite[:, 1],
+                                        np.full(len(essential), np.inf))))
         pd.sort()
         return pd
 

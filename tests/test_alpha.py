@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,9 +11,9 @@ from phkit import (alpha, alpha_filtration, betti_numbers,
                    compute_persistence, delaunay, oracle_persistence,
                    weighted_alpha_filtration)
 from phkit.alpha import PointCloud
-from phkit.errors import DegenerateInput, DuplicatePoints
+from phkit.errors import DegenerateInput, DuplicatePoints, TooLarge
 
-from conftest import regular_tetrahedron
+from conftest import child_env, regular_tetrahedron
 
 
 def octahedron():
@@ -406,3 +408,32 @@ def test_orthocenter_blocks_match_one_block(build, monkeypatch):
 def test_point_cloud_dim():
     assert PointCloud(np.eye(3)[:, :2]).dim == 2
     assert PointCloud(regular_tetrahedron()).dim == 3
+
+
+def test_top_simplices_past_cell_cap_are_too_large(monkeypatch):
+    # the guard reads the top simplices Qhull made, before any face
+    pts = np.random.default_rng(5).random((40, 3))
+    cells = len(alpha_filtration(pts))
+    monkeypatch.setattr(alpha, "_alpha_tables", None)
+    monkeypatch.setattr(alpha, "CELL_CAP", cells // 2)
+    with pytest.raises(TooLarge, match="top simplices"):
+        alpha_filtration(pts)
+    with pytest.raises(TooLarge, match="top simplices"):
+        weighted_alpha_filtration(pts, np.linspace(0.0, 0.01, 40))
+    monkeypatch.undo()
+    # the estimate holds: a cap of the real count passes
+    monkeypatch.setattr(alpha, "CELL_CAP", 2 * cells)
+    assert len(alpha_filtration(pts)) == cells
+
+
+def test_alpha_past_cell_cap_exits_3(tmp_path):
+    np.savetxt(tmp_path / "c.txt", np.random.default_rng(5).random((40, 3)))
+    code = ("import sys, phkit.alpha, phkit.cli\n"
+            "phkit.alpha.CELL_CAP = 100\n"
+            "phkit.cli.main(sys.argv[1:])\n")
+    r = subprocess.run([sys.executable, "-c", code, "compute", "c.txt",
+                        "--kind", "pointcloud"], capture_output=True,
+                       text=True, cwd=tmp_path, env=child_env())
+    assert r.returncode == 3, r.stderr
+    assert "TooLarge" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "c.diagram.json").exists()

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from phkit import PersistenceDiagram, alpha_filtration, compute_persistence
-from phkit.analysis import (DISTANCE_SIZE_CAP, GRID_CAP, bottleneck_distance,
-                            histogram, persistence_image,
-                            wasserstein_distance)
+from phkit.analysis import (DISTANCE_SIZE_CAP, GRID_CAP, _augmented_graph,
+                            bottleneck_distance, histogram,
+                            persistence_image, wasserstein_distance)
 from phkit.errors import BadParams, BadRange, TooLarge
 
 from conftest import exhaustive_distance, same_value
@@ -532,3 +532,29 @@ def test_bottleneck_prunes_edge_dearer_than_diagonal():
     rep = bottleneck_distance(a, b)
     assert rep.value == 1.5 == exhaustive_distance(a, b, "bottleneck")
     assert sorted(rep.matching, key=str) == [(0, None), (None, 0)]
+
+
+def _coo_graph(m, n, ii, jj, ka, kb, weights):
+    # the graph as scipy builds it from int64 COO coordinates: the reference
+    from scipy.sparse import csr_array
+
+    rows = np.concatenate([ii, ka, m + kb, m + jj])
+    cols = np.concatenate([jj, n + ka, kb, n + ii])
+    return csr_array((np.broadcast_to(weights, rows.shape), (rows, cols)),
+                     shape=(m + n, n + m))
+
+
+def test_augmented_graph_is_the_int64_graph_in_int32():
+    rng = np.random.default_rng(6)
+    for trial in range(300):
+        m, n = rng.integers(0, 30, 2)
+        ii, jj = np.nonzero(rng.random((m, n)) < rng.random())
+        ka = np.flatnonzero(rng.random(m) < rng.random())
+        kb = np.flatnonzero(rng.random(n) < rng.random())
+        weights = (rng.random(2 * len(ii) + len(ka) + len(kb)) if trial % 2
+                   else np.int8(1))
+        got = _augmented_graph(m, n, ii, jj, ka, kb, weights)
+        want = _coo_graph(m, n, ii, jj, ka, kb, weights)
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))

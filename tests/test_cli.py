@@ -7,9 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phkit
 from phkit import PersistenceDiagram, read_diagram_file, write_diagram_file
+from phkit import fileio
+from phkit.cli import _default_range, _nearest
 
 from conftest import child_env
 
@@ -624,3 +628,166 @@ def test_malformed_diagram_file_exits_2(tmp_path):
     r = run("pairs", "bad.json", "--degree", "0", cwd=tmp_path)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+
+
+# --- files in the writer's layout, read one degree at a time ------------
+
+def dump_in_layout(path, doc):
+    """doc written as the writer lays a file out, json.dump(indent=1) plus
+    a newline; the test fails unless the layout read accepts it."""
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    fileio._layout_document(path.read_bytes())
+
+
+@pytest.mark.parametrize("damage", [
+    lambda prov: prov.update(birth_cells=[]),
+    lambda prov: prov.pop("death_cells"),
+    lambda prov: prov.update(birth_cells=[[[0, 1], [2]]] * 3),
+    lambda prov: prov.update(death_cells=[None] * 3),
+    lambda prov: prov.update(death_cells=[[0, 1, 2, 3]] * 3),
+], ids=["short", "missing", "ragged", "null", "wrong-width"])
+def test_invert_damaged_provenance_in_layout_exits_3(tetra_dir, damage):
+    path = tetra_dir / "tetra.diagram.json"
+    doc = json.loads(path.read_text())
+    damage(doc["degrees"]["1"]["provenance"])
+    dump_in_layout(path, doc)
+    r = run("invert", "tetra.diagram.json", "--degree", "1", "--nearest",
+            "0.5", "0.58", cwd=tetra_dir)
+    assert r.returncode == 3, r.stderr
+    assert "MissingProvenance" in r.stderr
+
+
+@pytest.mark.parametrize("damage", [
+    lambda meta: meta.update(params=[]),
+    lambda meta: meta.update(kind="nonsense"),
+    lambda meta: meta.update(input=["ring.pgm"]),
+], ids=["params-array", "unknown-kind", "input-array"])
+def test_invert_malformed_metadata_in_layout_exits_2(ring_dir, damage):
+    path = ring_dir / "ring.diagram.json"
+    doc = json.loads(path.read_text())
+    damage(doc["metadata"])
+    dump_in_layout(path, doc)
+    r = run("invert", "ring.diagram.json", "--degree", "0", "--nearest",
+            "1", "9", cwd=ring_dir)
+    assert r.returncode == 2, r.stderr
+    assert "metadata" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("doc", [
+    {"format": "phkit-diagram", "version": 1, "metadata": [],
+     "degrees": {}},
+    {"format": "phkit-diagram", "version": 1,
+     "degrees": {"0": {"pairs": [[0.0]]}}},
+], ids=["metadata-array", "short-pair"])
+def test_malformed_diagram_file_in_layout_exits_2(tmp_path, doc):
+    dump_in_layout(tmp_path / "bad.json", doc)
+    r = run("pairs", "bad.json", "--degree", "0", cwd=tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_invert_bad_json_in_provenance_exits_2(tetra_dir):
+    path = tetra_dir / "tetra.diagram.json"
+    data = path.read_bytes()
+    at = data.index(b'"death_cells": [', data.index(b'"1": {'))
+    path.write_bytes(data[:at] + b'"death_cells": [oops,'
+                     + data[at + len(b'"death_cells": ['):])
+    r = run("invert", "tetra.diagram.json", "--degree", "1", "--nearest",
+            "0.5", "0.58", cwd=tetra_dir)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("fault", [
+    lambda text: text.replace('"pairs": [\n    [\n     0.0', '"pairs": [\n'
+                              '    [\n     oops', 1),
+    lambda text: text.replace('"0": {\n   "pairs": [\n    [\n     0.0,',
+                              '"0": {\n   "pairs": [\n    [', 1),
+], ids=["bad-number", "short-pair"])
+def test_light_commands_skip_a_malformed_other_degree(tetra_dir, fault):
+    # a light command reads only the degree it is asked for: a fault in
+    # degree 0 of a file in the writer's layout stops degree 0 (exit 2),
+    # and degree 1 prints as before. The same fault in a file of another
+    # layout stops every degree, as the file is then parsed whole.
+    path = tetra_dir / "tetra.diagram.json"
+    before = run("pairs", "tetra.diagram.json", "--degree", "1",
+                 cwd=tetra_dir)
+    text = path.read_text()
+    assert fault(text) != text
+    path.write_text(fault(text))
+    fileio._layout_document(path.read_bytes())
+    for args in (["pairs"], ["plot", "-o", "p.svg"], ["vectorize"]):
+        r = run(args[0], "tetra.diagram.json", "--degree", "1", *args[1:],
+                cwd=tetra_dir)
+        assert r.returncode == 0, r.stderr
+        r = run(args[0], "tetra.diagram.json", "--degree", "0", *args[1:],
+                cwd=tetra_dir)
+        assert r.returncode == 2 and "Traceback" not in r.stderr
+    r = run("pairs", "tetra.diagram.json", "--degree", "1", cwd=tetra_dir)
+    assert r.stdout == before.stdout
+    path.write_text(fault(text).replace("\n", "\n "))  # off the layout
+    r = run("pairs", "tetra.diagram.json", "--degree", "1", cwd=tetra_dir)
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+
+
+def _old_default_range(pd):
+    # the per-value window of the earlier CLI, the reference for ties,
+    # signed zeros and NaN
+    values = [v for bd in pd.finite_pairs for v in bd] + pd.essential_births
+    if not values:
+        return 0.0, 1.0
+    lo = min(0.0, min(values))
+    hi = max(values)
+    span = hi - lo
+    if span <= 0:
+        span = 1.0
+    return lo, hi + 0.05 * span
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+           st.sampled_from([-0.0, 0.0, 0.5, -0.25, 1.0, math.nan, 2.0]),
+           st.sampled_from([-0.0, 0.0, 0.5, 1.0, math.nan, math.inf])),
+           max_size=5))
+def test_default_range_matches_per_value_window(pairs):
+    pd = PersistenceDiagram(1, np.array([b for b, _ in pairs], dtype=float),
+                            np.array([d for _, d in pairs], dtype=float))
+    got, want = _default_range(pd), _old_default_range(pd)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]),
+                          st.sampled_from([-0.0, 0.0, 0.5, 0.75, 1.0])),
+                min_size=1, max_size=6),
+       st.tuples(st.sampled_from([-0.0, 0.0, 0.5, 0.25]),
+                 st.sampled_from([-0.0, 0.0, 0.5, 1.0])))
+def test_nearest_takes_the_first_of_tied_pairs(pairs, target):
+    # the earlier pick: the least (distance, birth, death, index) tuple;
+    # -0.0 and 0.0 tie, so the index decides between them
+    births = np.array([b for b, _ in pairs])
+    deaths = np.array([d for _, d in pairs])
+    tb, td = target
+    want = min(((b - tb) ** 2 + (d - td) ** 2, b, d, k)
+               for k, (b, d) in enumerate(pairs))[3]
+    assert _nearest(births, deaths, target) == want
+
+
+def test_invert_picks_the_first_of_tied_pairs(tetra_dir):
+    # the three degree-1 pairs of the regular tetrahedron are equal: only
+    # the first one's cells are kept readable, so only it can be shown
+    path = tetra_dir / "tetra.diagram.json"
+    doc = json.loads(path.read_text())
+    prov = doc["degrees"]["1"]["provenance"]
+    assert len(set(map(tuple, doc["degrees"]["1"]["pairs"]))) == 1
+    prov["death_cells"][1:] = [[0, 1, 2, 3]] * 2
+    dump_in_layout(path, doc)
+    r = run("invert", "tetra.diagram.json", "--degree", "1", "--nearest",
+            "0.5", "0.58", cwd=tetra_dir)
+    assert r.returncode == 0, r.stderr
+    prov["death_cells"][:] = [[0, 1, 2, 3]] + prov["death_cells"][:1] * 2
+    dump_in_layout(path, doc)
+    r = run("invert", "tetra.diagram.json", "--degree", "1", "--nearest",
+            "0.5", "0.58", cwd=tetra_dir)
+    assert r.returncode == 3 and "MissingProvenance" in r.stderr

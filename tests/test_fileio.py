@@ -2,10 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phkit import fileio
 from phkit import (Bitmap, DistanceMatrix, PersistenceDiagram,
                    alpha_filtration, compute_persistence, cubical_filtration,
                    make_filtration, read_bitmap, read_diagram_file,
@@ -475,3 +479,235 @@ def test_writer_bytes_equal_json_dump(tmp_path, case):
     json_dump_reference(tmp_path / "ref.json", diagrams, **kw)
     assert ((tmp_path / "new.json").read_bytes()
             == (tmp_path / "ref.json").read_bytes())
+
+
+# --- one degree at a time: the writer's layout against a whole parse -----
+
+def read_by_layout(path):
+    """read_diagram_file(path) with every degree and provenance read, failing
+    if any of it takes the whole-document parse."""
+    with mock.patch.object(fileio, "_parse_document",
+                           side_effect=AssertionError("whole parse")):
+        df = read_diagram_file(path)
+        diagrams = {d: df.diagram(d) for d in range(-1, df.max_degree + 2)}
+        provenance = dict(df.provenance)
+        assert len(df.provenance) == len(provenance)
+    return df, diagrams, provenance
+
+
+def assert_reads_equal(path):
+    """The layout read and the whole-document read of path agree, bit for
+    bit."""
+    df, diagrams, provenance = read_by_layout(path)
+    whole = fileio._parse_document(path.read_bytes())
+    assert df.metadata == whole.metadata
+    assert df.max_degree == whole.max_degree
+    for d, pd in diagrams.items():
+        other = whole.diagram(d)
+        assert pd.degree == other.degree == d
+        assert pd.births.tobytes() == other.births.tobytes()
+        assert pd.deaths.tobytes() == other.deaths.tobytes()
+    assert provenance == dict(whole.provenance)
+
+
+def _bare_diagram(draw, degree):
+    # values with -0.0, NaN, infinities and subnormals; essential births
+    # get an infinite death
+    value = st.floats(allow_nan=True, allow_infinity=True, width=64)
+    births = draw(st.lists(value, max_size=6))
+    deaths = [draw(st.one_of(value, st.just(math.inf))) for _ in births]
+    return PersistenceDiagram(degree, np.array(births, dtype=np.float64),
+                              np.array(deaths, dtype=np.float64))
+
+
+@st.composite
+def diagram_files(draw):
+    """(diagrams, writer options) of every kind the writer is given."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["alpha", "weighted", "bitmap", "rips",
+                                 "bare"]))
+    if kind == "alpha":
+        # three points in space are coplanar, which alpha refuses
+        n = draw(st.sampled_from([1, 2, 5, 25]))
+        f = alpha_filtration(rng.random((n, draw(st.sampled_from([2, 3])))))
+    elif kind == "weighted":
+        n = draw(st.integers(4, 20))
+        f = weighted_alpha_filtration(rng.random((n, 2)),
+                                      rng.random(n) * 0.05)
+    elif kind == "bitmap":
+        shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        f = cubical_filtration(Bitmap(rng.random(shape)))
+    elif kind == "rips":
+        points = rng.random((draw(st.integers(2, 12)), 2))
+        f = rips_filtration(DistanceMatrix.from_points(points), 2, 0.7)
+    if kind == "bare":
+        diagrams = [_bare_diagram(draw, d) for d in sorted(draw(
+            st.sets(st.integers(0, 4), max_size=4)))]
+    else:
+        diagrams = compute_persistence(f)[1]
+        # some degrees lose their provenance, and may be unsquared
+        diagrams = [pd if draw(st.booleans()) else
+                    PersistenceDiagram(pd.degree, pd.births, pd.deaths)
+                    for pd in diagrams]
+        if draw(st.booleans()):
+            diagrams = [pd.scaled(lambda v: math.copysign(
+                math.sqrt(abs(v)), v)) for pd in diagrams]
+    options = {"kind": {"bitmap": "bitmap", "rips": "distance-matrix"}.get(
+                   kind, "pointcloud"),
+               "squared": draw(st.booleans()),
+               # a path with quotes, braces and newlines cannot fake a
+               # landmark: json escapes its newlines
+               "input_path": draw(st.text(max_size=12)),
+               "params": draw(st.sampled_from(
+                   [None, {"maxdim": 2}, {"degrees": {"0": []}}]))}
+    return diagrams, options
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=diagram_files())
+def test_layout_read_equals_whole_document_read(tmp_path_factory, case):
+    diagrams, options = case
+    path = tmp_path_factory.mktemp("layout") / "d.diagram.json"
+    write_diagram_file(path, diagrams, **options)
+    assert_reads_equal(path)
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_writer_cases_read_by_layout(tmp_path, case):
+    diagrams, options = WRITER_CASES[case]()
+    path = tmp_path / "d.json"
+    write_diagram_file(path, diagrams, **{
+        "kind": "pointcloud", "squared": False, "input_path": "in.txt",
+        **options})
+    assert_reads_equal(path)
+
+
+def _tetra_file(tmp_path):
+    _, diagrams = compute_persistence(
+        alpha_filtration(PointCloud(regular_tetrahedron())))
+    path = tmp_path / "t.json"
+    write_diagram_file(path, diagrams, kind="pointcloud", squared=True,
+                       input_path="tetra.txt")
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: json.dumps(json.loads(b)).encode(),
+    lambda b: json.dumps(json.loads(b), indent=2).encode() + b"\n",
+    lambda b: b[:-1],
+    lambda b: b + b" ",
+    lambda b: b[:len(b) // 2],
+    lambda b: b.replace(b'\n   "essential": [],',
+                        b'\n   "essential": [],\n   "note": 1,', 1),
+    lambda b: b.replace(b'"pairs": [\n    [', b'"pairs": [[', 1),
+], ids=["compact", "indent-2", "no-final-newline", "trailing-space",
+        "truncated", "extra-key", "hand-edited-array"])
+def test_file_off_the_layout_is_parsed_whole(tmp_path, edit):
+    path = _tetra_file(tmp_path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError):
+        fileio._layout_document(path.read_bytes())
+    try:
+        whole = fileio._parse_document(path.read_bytes())
+    except ParseError:
+        with pytest.raises(ParseError):
+            read_diagram_file(path)
+        return
+    df = read_diagram_file(path)
+    for d in range(df.max_degree + 1):
+        assert df.diagram(d).pairs == whole.diagram(d).pairs
+    assert dict(df.provenance) == dict(whole.provenance)
+
+
+def test_degrees_out_of_order_are_parsed_whole(tmp_path):
+    # the writer keeps the caller's order of degrees
+    diagrams = [PersistenceDiagram.from_pairs(1, [(0.25, 0.5)]),
+                PersistenceDiagram.from_pairs(0, [(0.0, 0.75)], [0.0])]
+    path = tmp_path / "d.json"
+    write_diagram_file(path, diagrams, kind="pointcloud", squared=True,
+                       input_path="x.txt")
+    with pytest.raises(ValueError, match="out of order"):
+        fileio._layout_document(path.read_bytes())
+    df = read_diagram_file(path)
+    assert df.diagram(0).pairs == [(0.0, 0.75), (0.0, math.inf)]
+    assert df.diagram(1).pairs == [(0.25, 0.5)]
+
+
+MALFORMED_DOCUMENTS = {
+    "array": [1, 2],
+    "degrees-array": {"format": "phkit-diagram", "version": 1,
+                      "degrees": []},
+    "pairs-null": {"format": "phkit-diagram", "version": 1,
+                   "degrees": {"0": {"pairs": None, "essential": []}}},
+    "metadata-array": {"format": "phkit-diagram", "version": 1,
+                       "metadata": [], "degrees": {}},
+    "degree-array": {"format": "phkit-diagram", "version": 1,
+                     "degrees": {"0": [[0.0, 1.0]]}},
+    "short-pair": {"format": "phkit-diagram", "version": 1,
+                   "degrees": {"0": {"pairs": [[0.0]]}}},
+    "version-2": {"format": "phkit-diagram", "version": 2, "degrees": {}},
+}
+# the cases whose json.dump(..., indent=1) bytes have the writer's layout:
+# the layout read finds the fault; the others are parsed whole
+IN_LAYOUT = {"metadata-array", "short-pair", "version-2"}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+def test_diagram_malformed_document_in_writer_layout(tmp_path, case):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(MALFORMED_DOCUMENTS[case], indent=1) + "\n")
+    try:
+        fileio._layout_document(p.read_bytes())
+    except ValueError:
+        assert case not in IN_LAYOUT
+    else:
+        assert case in IN_LAYOUT
+    with pytest.raises(ParseError):
+        df = read_diagram_file(p)
+        for d in range(df.max_degree + 1):
+            df.diagram(d)
+
+
+def test_bad_json_in_the_asked_degree_reports_its_line(tmp_path):
+    # the slice does not parse, so the whole document is parsed and
+    # reports the line of the bad token, as a whole-document read does
+    path = _tetra_file(tmp_path)
+    data = path.read_bytes()
+    at = data.index(b'"1": {')
+    at = data.index(b"0.25", at)
+    path.write_bytes(data[:at] + b"oops" + data[at + 4:])
+    line = data[:at].count(b"\n") + 1
+    df = read_diagram_file(path)  # the layout holds; degree 0 is fine
+    assert len(df.diagram(0)) == 4
+    with pytest.raises(ParseError) as exc:
+        df.diagram(1)
+    assert exc.value.line == line
+
+
+def test_bad_json_in_provenance_is_parsed_whole(tmp_path):
+    path = _tetra_file(tmp_path)
+    data = path.read_bytes()
+    at = data.index(b'"death_cells": [', data.index(b'"1": {'))
+    path.write_bytes(data[:at] + b'"death_cells": [oops,'
+                     + data[at + len(b'"death_cells": ['):])
+    df = read_diagram_file(path)
+    assert df.diagram(1).pairs == df.diagram(1).pairs
+    with pytest.raises(ParseError):
+        df.provenance[1]
+    assert df.provenance.get(0) is not None
+
+
+def test_malformed_other_degree_is_not_read(tmp_path):
+    # a file in the writer's layout is read one degree at a time: a fault
+    # in degree 0 stops degree 0, not degree 1. Parsed whole, the same
+    # file stops at degree 0 whichever degree is asked for.
+    path = _tetra_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["degrees"]["0"]["pairs"] = [[0.0]]
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    df = read_diagram_file(path)
+    assert df.diagram(1).pairs == [(0.25, 1 / 3)] * 3
+    with pytest.raises(ParseError):
+        df.diagram(0)
+    with pytest.raises(ParseError):
+        fileio._parse_document(path.read_bytes())

@@ -642,3 +642,52 @@ def test_hexagon_cycles_keep_their_cells():
     assert [tuple(c) for c in tight.cells] == hexagon
     assert pairing.reduced == {6: [0, 1], 7: [1, 2], 8: [2, 3], 9: [3, 4],
                                10: [4, 5]}
+
+
+def _per_value_diagram(degree, pairs, essential):
+    # the earlier from_pairs, one float() per value: the reference
+    finite = [(float(b), float(d)) for b, d in pairs]
+    ess = [float(b) for b in essential]
+    births = np.array([b for b, _ in finite] + ess, dtype=np.float64)
+    deaths = np.array([d for _, d in finite] + [np.inf] * len(ess),
+                      dtype=np.float64)
+    order = np.lexsort((deaths, births))
+    return births[order], deaths[order]
+
+
+def test_from_pairs_matches_per_value_build():
+    rng = np.random.default_rng(4)
+    odd = [-0.0, 0.0, math.nan, -math.inf, 5e-324, 1e300, 1, True]
+    for _ in range(200):
+        n, e = rng.integers(0, 6, 2)
+        pairs = [tuple(rng.choice(odd + [rng.random()], 2).tolist())
+                 for _ in range(n)]
+        essential = rng.choice(odd + [0.5], e).tolist()
+        pd = PersistenceDiagram.from_pairs(2, pairs, essential)
+        births, deaths = _per_value_diagram(2, pairs, essential)
+        assert pd.births.tobytes() == births.tobytes()
+        assert pd.deaths.tobytes() == deaths.tobytes()
+    pd = PersistenceDiagram.from_pairs(0, np.array([[0.5, 1.0], [0.0, 2]]),
+                                       np.array([0.0]))
+    assert pd.pairs == [(0.0, 2.0), (0.0, math.inf), (0.5, 1.0)]
+    big = PersistenceDiagram.from_pairs(0, [[2**70, 2**80]], ["0.5"])
+    assert big.pairs == [(0.5, math.inf), (2.0**70, 2.0**80)]
+
+
+@pytest.mark.parametrize("pairs, essential, error", [
+    ([[0.0, 1.0], [2.0]], [], ValueError),
+    ([[0.0]], [], ValueError),
+    ([[0.0, 1.0, 2.0]], [], ValueError),
+    ([[]], [], ValueError),
+    ([0.5, 1.0], [], ValueError),
+    ([[[0.0, 1.0], [2.0, 3.0]]], [], ValueError),
+    ([[None, 1.0]], [], TypeError),
+    ([[0.0, "x"]], [], ValueError),
+    (None, [], TypeError),
+    ([], [[0.5]], ValueError),
+    ([], [None], TypeError),
+], ids=["ragged", "short", "long", "empty-pair", "flat", "nested", "null",
+        "word", "pairs-null", "nested-essential", "null-essential"])
+def test_from_pairs_rejects_what_float_rejects(pairs, essential, error):
+    with pytest.raises(error):
+        PersistenceDiagram.from_pairs(1, pairs, essential)
