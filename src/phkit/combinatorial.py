@@ -119,8 +119,10 @@ def _cliques(n, i, j, w, max_dim) -> Filtration:
     w = w + 0.0  # -0.0 becomes +0.0, as np.maximum(0.0, -0.0) is -0.0
     tab, val = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
     tables, values, facets = {0: tab}, {0: val}, {}
-    # vertex v's one facet is the empty simplex, so its key is 0*n + v
-    fac = np.zeros((n, 1), dtype=np.int64)
+    # vertex v's one facet is the empty simplex, so its key is 0*n + v.
+    # Facet rows are below CELL_CAP and handed over in int32; keys reach
+    # n*n, so a facet row widens to int64 before it is multiplied
+    fac = np.zeros((n, 1), dtype=np.int32)
     keys = np.append(np.arange(n), np.iinfo(np.int64).max)
     total = 0
     for d in range(1, max_dim + 1):
@@ -137,13 +139,14 @@ def _cliques(n, i, j, w, max_dim) -> Filtration:
         # column k of fac holds the facet without vertex k; the facet
         # without the parent's last vertex exists exactly when v is
         # adjacent to every earlier vertex
-        q = fac[parent, -1] * n + v
+        q = fac[parent, -1].astype(np.int64) * n + v
         pos = np.searchsorted(keys, q)
         ok = keys[pos] == q
         parent, v, edge, pos = parent[ok], v[ok], edge[ok], pos[ok]
         new_val = np.maximum(np.maximum(val[parent], val[pos]), w[edge])
-        rest = np.searchsorted(keys, fac[parent, :-1] * n + v[:, None])
-        fac = np.column_stack([rest, pos, parent])
+        rest = np.searchsorted(
+            keys, fac[parent, :-1].astype(np.int64) * n + v[:, None])
+        fac = np.column_stack([rest, pos, parent]).astype(np.int32)
         if not len(parent):
             break
         # ascending: rows are made in (parent, v) order; no query equals

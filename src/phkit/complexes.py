@@ -29,11 +29,13 @@ import numpy as np
 from .errors import MissingFace, MonotonicityViolation
 
 # the most cells a builder makes before it raises TooLarge. A 40^3 or 64^3
-# cubical filtration holds 98 B per cell (tables, values, rows and the
-# boundary matrix); its build peaks at 1.5 times that under tracemalloc,
-# and the build and reduction together took 182 B per cell of max RSS at
-# 64^3. So 20M cells need about 20M * 182 B = 3.6 GB, under half of an
-# 8 GB machine
+# cubical filtration holds 54 B per cell (int32 tables, rows and boundary
+# matrix, float64 values); its build peaks at 1.5 times that under
+# tracemalloc, and the build and reduction together took 99 B per cell of
+# max RSS at 64^3. So 20M cells need about 20M * 99 B = 2.0 GB, a quarter
+# of an 8 GB machine. The cap also keeps every position, and every offset
+# into the boundary matrix (at most 30 facets per cell under the cap), in
+# int32
 CELL_CAP = 20_000_000
 
 
@@ -175,7 +177,8 @@ class BoundaryMatrix:
     """Sparse Z/2 boundary matrix in CSR-by-column form.
 
     Column j of the filtration holds the sorted filtration indices of the
-    codimension-1 faces of cell j (empty for vertices / 0-cubes).
+    codimension-1 faces of cell j (empty for vertices / 0-cubes). indptr
+    and indices are int32.
     """
 
     indptr: np.ndarray
@@ -336,16 +339,17 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
     facets[d], for every d >= 1, is an (m_d, f_d) integer array: the rows
     of tables_by_dim[d-1] that are the facets of each row of
     tables_by_dim[d], both in the caller's row order. The filtration keeps
-    the tables in that order and records each cell's row in its table.
+    the tables in that order and dtype, and records each cell's row in its
+    table. Rows, positions and the boundary matrix are int32.
 
     values_by_dim and facets are consumed: each entry is popped once it
     has been read, so an array the caller does not hold elsewhere is freed
     while the boundary matrix is still being built.
     """
-    tables, vals_parts, by_rank = {}, [np.empty(0)], [np.empty(0, np.int64)]
+    tables, vals_parts, by_rank = {}, [np.empty(0)], [np.empty(0, np.int32)]
     n = 0
     for d in sorted(tables_by_dim):
-        tab = np.ascontiguousarray(tables_by_dim[d], dtype=np.int64)
+        tab = np.ascontiguousarray(tables_by_dim[d])
         keys = _row_keys(tab)
         perm = np.argsort(keys, kind="stable")
         dup = np.flatnonzero(np.diff(keys[perm]) == 0)
@@ -353,10 +357,11 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
             raise ValueError(
                 "duplicate cell with identity "
                 f"{tuple(int(x) for x in tab[perm[dup[0]]])}")
+        del keys
         tables[d] = tab
         vals_parts.append(np.asarray(values_by_dim.pop(d), dtype=np.float64))
         perm += n
-        by_rank.append(perm)
+        by_rank.append(perm.astype(np.int32))
         n += len(tab)
 
     vals_all = np.concatenate(vals_parts)
@@ -374,8 +379,8 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
     starts = np.cumsum([0] + [len(tab) for tab in tables.values()])
     dims = np.repeat(np.array(list(tables), dtype=np.int16),
                      np.diff(starts))[g]
-    position_all = np.empty(n, dtype=np.int64)
-    position_all[g] = np.arange(n)
+    position_all = np.empty(n, dtype=np.int32)
+    position_all[g] = np.arange(n, dtype=np.int32)
     # g turns into each cell's row in its own table
     position = {}
     for d, lo, hi in zip(tables, starts, starts[1:]):
@@ -383,18 +388,18 @@ def _assemble(kind, tables_by_dim, values_by_dim, facets, *,
         position[d] = position_all[lo:hi]
 
     # column j of cell (d, r) holds the sorted positions of facets[d][r]
-    lengths = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     for d in position:
         if d:
-            lengths[position[d] + 1] = facets[d].shape[1]
-    indptr = np.cumsum(lengths)
-    del lengths
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+            indptr[position[d] + 1] = facets[d].shape[1]
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
     for d in position:
         if d:
             cols = position[d - 1][facets.pop(d)]
             cols.sort(axis=1)
-            slots = indptr[position[d]][:, None] + np.arange(cols.shape[1])
+            slots = indptr[position[d]][:, None] + np.arange(cols.shape[1],
+                                                             dtype=np.int32)
             indices[slots] = cols
             del cols, slots
     bm = BoundaryMatrix(indptr=indptr, indices=indices)

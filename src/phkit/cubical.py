@@ -80,10 +80,11 @@ def cubical_filtration(bitmap) -> Filtration:
     for e in extents:
         offset[e] = rows_in_dim[sum(e)]
         rows_in_dim[sum(e)] += math.prod(block_shape[e])
-    tables = {d: np.empty((m, 2 * k), dtype=np.int64)
+    # every anchor, extent and row is below CELL_CAP < 2^31
+    tables = {d: np.empty((m, 2 * k), dtype=np.int32)
               for d, m in enumerate(rows_in_dim)}
     values = {d: np.empty(m) for d, m in enumerate(rows_in_dim)}
-    facets = {d: np.empty((m, 2 * d), dtype=np.int64)
+    facets = {d: np.empty((m, 2 * d), dtype=np.int32)
               for d, m in enumerate(rows_in_dim) if d}
     for extent in extents:
         arr = vals
@@ -92,7 +93,7 @@ def cubical_filtration(bitmap) -> Filtration:
                 arr = _min_pool(arr, axis)
         d = sum(extent)
         block = slice(offset[extent], offset[extent] + arr.size)
-        grid = np.indices(arr.shape)
+        grid = np.indices(arr.shape, dtype=np.int32)
         tables[d][block, :k] = grid.reshape(k, -1).T
         tables[d][block, k:] = extent
         values[d][block] = arr.ravel()

@@ -51,6 +51,7 @@ demand. Diagrams drop zero-persistence pairs; the pairing keeps everything.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -161,39 +162,52 @@ class PersistenceDiagram:
 class _ReducedColumns(Mapping):
     """Read-only map from each death cell to its reduced column.
 
-    Columns the loop reduced are held in a dict; apparent deaths are read
-    from the boundary matrix when asked for, as their reduced column is
-    their boundary column.
+    Columns the loop reduced are stored back to back in one C int buffer,
+    as a list item per entry, or an object per column, would cost more
+    than the filtration holds per cell; the column loop fills it through
+    add, and the first lookup sorts an index of it. Apparent deaths are
+    read from the boundary matrix when asked for, as their reduced column
+    is their boundary column.
     """
 
-    def __init__(self, stored: dict[int, list[int]], apparent: np.ndarray,
-                 bm: BoundaryMatrix):
-        self._stored = stored
+    def __init__(self, apparent: np.ndarray, bm: BoundaryMatrix):
+        self._entries = array("i")  # the stored columns, back to back
+        self._ends = array("i")  # where each stored column ends
+        self._deaths = array("i")  # whose column each one is
         self._apparent = apparent  # bool per cell: an apparent pair's death
         self._n_apparent = int(np.count_nonzero(apparent))
         self._bm = bm
 
-    def _is_apparent(self, j) -> bool:
-        return (isinstance(j, (int, np.integer))
-                and 0 <= j < len(self._apparent) and bool(self._apparent[j]))
+    def add(self, j: int, col: array):
+        self._entries.extend(col)
+        self._ends.append(len(self._entries))
+        self._deaths.append(j)
+
+    @cached_property
+    def _index(self):
+        """Stored deaths ascending, and their columns' starts and ends."""
+        deaths = np.array(self._deaths, dtype=np.int32)
+        ends = np.array(self._ends, dtype=np.int32)
+        starts = np.concatenate([[0], ends[:-1]])
+        order = np.argsort(deaths)
+        return deaths[order], starts[order], ends[order]
 
     def __getitem__(self, j) -> list[int]:
-        col = self._stored.get(j)
-        if col is not None:
-            return col
-        if self._is_apparent(j):
-            return self._bm.column(j).tolist()
+        if isinstance(j, (int, np.integer)) and 0 <= j < len(self._apparent):
+            deaths, starts, ends = self._index
+            i = int(np.searchsorted(deaths, j))
+            if i < len(deaths) and deaths[i] == j:
+                return self._entries[starts[i]:ends[i]].tolist()
+            if self._apparent[j]:
+                return self._bm.column(j).tolist()
         raise KeyError(j)
 
-    def __contains__(self, j) -> bool:
-        return j in self._stored or self._is_apparent(j)
-
     def __iter__(self):
-        yield from self._stored
+        yield from self._index[0].tolist()
         yield from np.flatnonzero(self._apparent).tolist()
 
     def __len__(self):
-        return len(self._stored) + self._n_apparent
+        return len(self._deaths) + self._n_apparent
 
 
 @dataclass
@@ -201,15 +215,15 @@ class PersistencePairing:
     """Raw output of the reduction, including zero-persistence pairs.
 
     pairs are (birth, death) filtration indices sorted by birth; essential
-    lists the unpaired cells in index order; pivot_of[i] is the death paired
-    with birth i, or -1, and pairs and essential are read off it on first
-    use. reduced is a read-only mapping with one key per death cell j: its
-    reduced column, the sorted cycle that dies when j enters. For an
-    apparent pair that is j's boundary column, read on demand; the other
-    columns are stored. chains[i], present when the reduction ran with
-    with_v=True, is the chain whose boundary is the reduced column, keyed
-    by column; for positive columns it is the created cycle itself (cleared
-    columns have none).
+    lists the unpaired cells in index order; pivot_of[i] (int32) is the
+    death paired with birth i, or -1, and pairs and essential are read off
+    it on first use. reduced is a read-only mapping with one key per death
+    cell j: its reduced column, the sorted cycle that dies when j enters,
+    as a list of ints. For an apparent pair that is j's boundary column,
+    read on demand; the other columns are stored. chains[i], present when
+    the reduction ran with with_v=True, is the chain whose boundary is the
+    reduced column, keyed by column; for positive columns it is the
+    created cycle itself (cleared columns have none).
 
     stats counts the work: apparent_pairs found before the column loop,
     columns_reduced and column_additions over the coboundary pass (when it
@@ -245,9 +259,10 @@ def _read_pairing(pivot_of):
 def _apparent_pairs(indptr, indices, n):
     """(sigma, tau) arrays of the apparent pairs, ascending in tau."""
     lengths = np.diff(indptr)
-    oldest_cofacet = np.full(n, n, dtype=np.int64)
-    np.minimum.at(oldest_cofacet, indices, np.repeat(np.arange(n), lengths))
-    cols = np.flatnonzero(lengths)
+    oldest_cofacet = np.full(n, n, dtype=np.int32)
+    np.minimum.at(oldest_cofacet, indices,
+                  np.repeat(np.arange(n, dtype=np.int32), lengths))
+    cols = np.flatnonzero(lengths).astype(np.int32)
     youngest_facet = indices[indptr[cols + 1] - 1]
     keep = oldest_cofacet[youngest_facet] == cols
     return youngest_facet[keep], cols[keep]
@@ -260,13 +275,17 @@ def _reduce(todo, indptr, indices, owner, low_of, reduced=None, chains=None):
     low_of (max or min) of its entries. owner[low] is the column that holds
     that low, or -1; every owner a column meets is one of todo or an
     apparent column of the same dimension. A column that takes a free low
-    gets it in owner and, with reduced, its reduced column, sorted, in
-    reduced. With chains, chains[j] is the chain of column j. Returns the
-    lows taken, in order, and the additions made.
+    gets it in owner and, with reduced (a _ReducedColumns), adds its reduced
+    column, sorted, to reduced. With chains, chains[j] is the chain of
+    column j. Returns the lows taken, in order, and the additions made.
     """
     # the owners' columns once met: reduced ones (sets unless reduced wants
-    # them sorted) and apparent ones raw
-    addends: dict[int, set[int] | list[int]] = {}
+    # them sorted) and apparent ones raw. Sorted and raw columns are kept as
+    # C int arrays, 4 B per entry where a list holds an int object per
+    # entry; a raw one is copied from indices as bytes, under the typecode
+    # of the C type of indices
+    addends: dict[int, set[int] | array] = {}
+    typecode = indices.dtype.char
     lows: list[int] = []
     additions = 0
     for j in todo:
@@ -280,12 +299,14 @@ def _reduce(todo, indptr, indices, owner, low_of, reduced=None, chains=None):
                 if reduced is None:
                     addends[j] = col
                 else:
-                    addends[j] = reduced[j] = sorted(col)
+                    addends[j] = col = array("i", sorted(col))
+                    reduced.add(j, col)
                 lows.append(low)
                 break
             addend = addends.get(k)
             if addend is None:
-                addend = indices[indptr[k]:indptr[k + 1]].tolist()
+                addend = array(typecode,
+                               indices[indptr[k]:indptr[k + 1]].tobytes())
                 addends[k] = addend
             col.symmetric_difference_update(addend)
             if vj is not None:
@@ -308,13 +329,13 @@ def compute_persistence(filtration: Filtration, *, with_v: bool = False):
     dims = filtration.dims
     n = len(dims)
     sigma, tau = _apparent_pairs(indptr, indices, n)
-    pivot_of = np.full(n, -1, dtype=np.int64)
+    pivot_of = np.full(n, -1, dtype=np.int32)
     pivot_of[sigma] = tau
     apparent = np.zeros(n, dtype=bool)
     apparent[tau] = True
     skip = apparent.copy()
     skip[sigma] = True
-    stored: dict[int, list[int]] = {}
+    reduced = _ReducedColumns(apparent, bm)
     chains: dict[int, list[int]] | None = None
     if with_v:
         chains = {j: [j] for j in tau.tolist()}
@@ -327,7 +348,7 @@ def compute_persistence(filtration: Filtration, *, with_v: bool = False):
         # the boundary columns read as rows, so the CSC form lists cofacets
         cob = csr_array((np.ones(len(indices), dtype=bool), indices, indptr),
                         shape=(n, n)).tocsc()
-        owner = np.full(n, -1, dtype=np.int64)
+        owner = np.full(n, -1, dtype=np.int32)
         owner[tau] = sigma
         deaths: list[int] = []
         for d in range(len(cells_per_dim) - 1):
@@ -345,7 +366,7 @@ def compute_persistence(filtration: Filtration, *, with_v: bool = False):
 
     for d in range(len(cells_per_dim) - 1, 0, -1):
         todo = np.flatnonzero((dims == d) & ~skip).tolist()
-        lows, added = _reduce(todo, indptr, indices, pivot_of, max, stored,
+        lows, added = _reduce(todo, indptr, indices, pivot_of, max, reduced,
                               chains)
         columns_reduced += len(todo)
         additions += added
@@ -361,7 +382,7 @@ def compute_persistence(filtration: Filtration, *, with_v: bool = False):
     # nor these, and the diagrams' arrays would share the peak with them
     del sigma, tau, skip
     pairing = PersistencePairing(
-        filtration=filtration, reduced=_ReducedColumns(stored, apparent, bm),
+        filtration=filtration, reduced=reduced,
         pivot_of=pivot_of, chains=chains, stats=stats)
     return pairing, _diagrams_from_pairing(filtration, pivot_of)
 

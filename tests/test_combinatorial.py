@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from phkit import compute_persistence, oracle_persistence
+from phkit import compute_persistence, make_filtration, oracle_persistence
 from phkit.combinatorial import (DistanceMatrix, WeightedGraph,
                                  clique_filtration, rips_filtration)
 from phkit.complexes import CELL_CAP
@@ -136,6 +136,32 @@ def test_matches_rank_oracle_on_random_rips():
             pd_e.sort()
             pd_o.sort()
             assert np.array_equal(pd_e.pairs, pd_o.pairs)
+
+
+def test_cliques_past_int32_keys_match_make_filtration():
+    # the clique keys parent * n + v pass 2**31 here, as the cliques sit at
+    # the top ids of 70,000 vertices; facets and parents are int32, so
+    # the keys must widen before they multiply
+    n = 70_000
+    rng = np.random.default_rng(12)
+    top = range(n - 9, n)
+    edges = [(a, b, float(rng.integers(1, 4))) for a, b in combinations(top, 2)
+             if rng.random() < 0.8]
+    edges += [(0, n - 1, 2.0), (0, n - 2, 1.0)]
+    f = clique_filtration(WeightedGraph(n, edges), 3)
+    assert (n - 9) * n > 2 ** 31 and f.max_dim == 3
+    cells = [(f.cell(i), f.value(i)) for i in rng.permutation(len(f))]
+    g = make_filtration(cells)
+    assert np.array_equal(f.dims, g.dims)
+    assert np.array_equal(f.values, g.values)
+    for d in range(f.max_dim + 1):
+        positions = np.flatnonzero(f.dims == d)
+        assert np.array_equal(f.identity_rows(d, positions),
+                              g.identity_rows(d, positions))
+    assert np.array_equal(f.boundary_matrix().indptr,
+                          g.boundary_matrix().indptr)
+    assert np.array_equal(f.boundary_matrix().indices,
+                          g.boundary_matrix().indices)
 
 
 def test_rips_past_cell_cap_is_too_large():

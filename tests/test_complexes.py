@@ -21,7 +21,7 @@ from phkit import (
 )
 import phkit.combinatorial
 import phkit.complexes
-from phkit.complexes import _assemble, _lookup_facets, _row_keys
+from phkit.complexes import CELL_CAP, _assemble, _lookup_facets, _row_keys
 from phkit.errors import MissingFace, MonotonicityViolation
 
 
@@ -269,6 +269,19 @@ def test_make_filtration_large_vertex_ids():
     assert p_big.essential == p_small.essential
 
 
+def test_row_keys_of_int32_rows_near_the_int32_limit():
+    # int32 arithmetic would wrap on the first product; keys are int64
+    top = np.iinfo(np.int32).max
+    rng = np.random.default_rng(6)
+    rows = (top - rng.integers(0, 4, (60, 3))).astype(np.int32)
+    keys = _row_keys(rows)
+    assert keys.dtype == np.int64
+    order = np.lexsort(rows.T[::-1])
+    assert (np.diff(keys[order]) >= 0).all()
+    same_row = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+    assert np.array_equal(same_row, keys[:, None] == keys[None, :])
+
+
 def builder_samples():
     rng = np.random.default_rng(5)
     for shape in [(23,), (7, 9), (5, 4, 6), (3, 4, 3, 3)]:
@@ -330,6 +343,26 @@ def test_builder_facets_match_lookup():
                               f.boundary_matrix().indptr)
         assert np.array_equal(g.boundary_matrix().indices,
                               f.boundary_matrix().indices)
+
+
+def test_builders_hold_int32_positions():
+    # positions, boundary offsets and rows fit int32 because no filtration
+    # passes CELL_CAP cells, each with at most max_facets facets: under the
+    # cap a cubical rank k has 3**k <= CELL_CAP, and a d-simplex comes with
+    # its 2**(d+1) - 1 faces
+    rank = max(k for k in range(64) if 3 ** k <= CELL_CAP)
+    simplex_facets = max(d + 1 for d in range(64)
+                         if 2 ** (d + 1) - 1 <= CELL_CAP)
+    max_facets = max(2 * rank, simplex_facets)
+    assert (rank, max_facets) == (15, 30)
+    assert CELL_CAP * max_facets < 2 ** 31
+    for f in builder_samples():
+        bm = f.boundary_matrix()
+        assert f._rows.dtype == bm.indptr.dtype == bm.indices.dtype == np.int32
+        # vertex ids of simplices may pass 2**31 in make_filtration, so
+        # simplex tables stay int64; cube tables are int32
+        table_type = np.int32 if f.kind == "cubical" else np.int64
+        assert all(t.dtype == table_type for t in f._tables.values())
 
 
 def test_builders_look_up_no_facets(monkeypatch):

@@ -630,6 +630,27 @@ def test_reduced_mapping_contract():
             reduced[i]
 
 
+def test_reduced_columns_cycles_and_chains_hold_python_ints():
+    # reduced columns are stored in one int32 buffer and pivot_of is int32;
+    # readers still get sorted lists of Python ints, keyed by any integer
+    def python_ints(cells):
+        return all(type(c) is int for c in cells)
+
+    for f in cross_check_inputs():
+        pairs, essential, reduced, chains = textbook_reduction(f)
+        pairing, _ = compute_persistence(f, with_v=True)
+        assert pairing.pivot_of.dtype == np.int32
+        for j, col in pairing.reduced.items():
+            assert col == reduced[j] and python_ints(col)
+            assert pairing.reduced[np.int32(j)] == col
+        for pair in pairs + [(i, None) for i in essential]:
+            cycle = representative_cycle(pairing, pair, allow_essential=True)
+            assert python_ints(cycle.cell_indices)
+        assert pairing.chains
+        for j, chain in pairing.chains.items():
+            assert chain == chains[j] and python_ints(chain)
+
+
 def test_hexagon_cycles_keep_their_cells():
     f = hexagon_with_chord()
     pairing, _ = compute_persistence(f, with_v=True)
